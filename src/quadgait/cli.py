@@ -130,10 +130,10 @@ def cmd_eval(args) -> int:
     if args.baseline:
         try:
             base = nn.load_weights(args.baseline)
-        except (FileNotFoundError, FileFormatError) as exc:
+            base_metrics, _, _ = ev.evaluate_model(base, holdout, gaits)
+        except (FileNotFoundError, FileFormatError, UnknownTask) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        base_metrics, _, _ = ev.evaluate_model(base, holdout, gaits)
         rows += [(m.task, "holdout_baseline", m) for m in base_metrics]
     ev.write_metrics_csv(out / "metrics.csv", rows)
     ev.write_traj_csv(out / "traj_fl.csv", traj)

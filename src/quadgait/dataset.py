@@ -296,7 +296,7 @@ def expert_gate_check(
     dt: float = 1e-3,
     gains: ExpertGains | None = None,
 ) -> bool:
-    """Competence gate before collection: the expert must stay inside
+    """Competence gate of a collection campaign: the expert must stay inside
     the survival band through a zero-command closed-loop run of this gait."""
     gains = gains or ExpertGains()
     state = nominal_stance_state(model, contact=contact)
@@ -311,6 +311,12 @@ def expert_gate_check(
     except Diverged:
         return False
     return True
+
+
+def _run_gate(job) -> bool:
+    """One gait's competence gate: True if the expert passes it."""
+    model, contact, spec, gains = job
+    return expert_gate_check(model, contact, spec, gains=gains)
 
 
 def _run_cell(job):
@@ -345,19 +351,25 @@ def collect(
     Returns (train, holdout, report) where train and holdout map gait
     name -> single-task Dataset.  Cells that diverge or fall are
     discarded and listed in the report; more than 10% of them aborts the
-    campaign.
+    campaign.  Every gait must first pass `expert_gate_check`; the first
+    gait in plan order that fails it raises RuntimeError.
 
-    Cells are independent (each has its own seed sequence), so they run
-    in one process per usable CPU; the result is the same for any
-    worker count.  The workers are spawned, so a script that calls this
-    must guard its entry point with `if __name__ == "__main__":`.  On a
-    single usable CPU the cells run in this process.
+    The gates and the cells are independent (each cell has its own seed
+    sequence), so they share one pool of one process per usable CPU,
+    gates first; the result is the same for any worker count.  A failed
+    gate cancels the cells still queued, and the cells already running
+    finish before the error is raised.  The workers are spawned, so a
+    script that calls this must guard its entry point with
+    `if __name__ == "__main__":`.  On a single usable CPU the gates and
+    then the cells run in this process.
     """
     plan.validate()
     gains = gains or ExpertGains()
-    for spec in plan.gaits:
-        if not expert_gate_check(model, contact, spec, gains=gains):
-            raise RuntimeError(f"expert failed its competence gate for gait '{spec.name}'")
+
+    def check_gates(passed):
+        for spec, ok in zip(plan.gaits, passed):
+            if not ok:
+                raise RuntimeError(f"expert failed its competence gate for gait '{spec.name}'")
 
     train_cmds = plan.training_commands()
     cells = []
@@ -368,13 +380,22 @@ def collect(
             for cmd_idx, cmd in enumerate(cmds):
                 cell_seed = np.random.SeedSequence([plan.seed, split_tag, gait_idx, cmd_idx])
                 cells.append((split, spec, cmd, cell_seed))
+    gate_jobs = [(model, contact, spec, gains) for spec in plan.gaits]
     jobs = [(model, contact, spec, cmd, dt, gains, plan, seed) for _, spec, cmd, seed in cells]
 
-    workers = min(usable_cpus(), len(jobs))
+    workers = min(usable_cpus(), len(jobs) + len(gate_jobs))
     if workers > 1:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(_run_cell, jobs))
+            gates = [pool.submit(_run_gate, job) for job in gate_jobs]
+            futures = [pool.submit(_run_cell, job) for job in jobs]
+            try:
+                check_gates(gate.result() for gate in gates)
+            except RuntimeError:
+                pool.shutdown(cancel_futures=True)
+                raise
+            results = [future.result() for future in futures]
     else:
+        check_gates(_run_gate(job) for job in gate_jobs)
         results = [_run_cell(job) for job in jobs]
 
     report = CollectionReport()
@@ -457,7 +478,7 @@ def read_dataset(path) -> Dataset:
         off += 4
         if off + n > len(payload):
             raise TruncatedFile(f"{path}: task table incomplete")
-        names.append(payload[off : off + n].decode("utf-8"))
+        names.append(payload[off : off + n])
         off += n
     rec_size = 4 + 4 * OBS_DIM + 4 * ACT_DIM
     if off + count * rec_size != len(payload):
@@ -468,7 +489,8 @@ def read_dataset(path) -> Dataset:
     task_id = raw[:, :4].copy().view("<u4").reshape(count)
     obs = raw[:, 4 : 4 + 4 * OBS_DIM].copy().view("<f4").reshape(count, OBS_DIM)
     act = raw[:, 4 + 4 * OBS_DIM :].copy().view("<f4").reshape(count, ACT_DIM)
-    return Dataset(names, task_id.astype(np.uint32), obs, act, float(rate))
+    return Dataset([name.decode("utf-8") for name in names], task_id.astype(np.uint32),
+                   obs, act, float(rate))
 
 
 def export_csv(path, dataset: Dataset):

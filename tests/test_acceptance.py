@@ -41,6 +41,8 @@ from quadgait.simulation import ContactParams, nominal_stance_state, pd_torque, 
 
 from conftest import sample_branch_configs
 
+pytestmark = pytest.mark.acceptance
+
 GAITS = ["trot", "bound", "jump"]
 SEEDS = [101, 202, 303]
 DT = 1e-3

@@ -93,6 +93,21 @@ class TestTrain:
 
         assert load_weights(out).arch.kind == "single_task"
 
+    def test_corrupt_task_name_is_data_error(self, workspace, collected, tmp_path):
+        # byte 36 is the first byte of the task name; flipped, it is no
+        # longer UTF-8, and the CRC check must report it first
+        root, cfg = workspace
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("trot_train.qgd", "bound_train.qgd"):
+            (data / name).write_bytes((collected / name).read_bytes())
+        blob = bytearray((data / "trot_train.qgd").read_bytes())
+        blob[36] ^= 0x80
+        (data / "trot_train.qgd").write_bytes(bytes(blob))
+        rc = cli.main(["train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(tmp_path / "m.qmp")])
+        assert rc == cli.EXIT_DATA
+
     def test_missing_data_dir(self, workspace, tmp_path):
         root, cfg = workspace
         rc = cli.main(["train", "--config", str(cfg), "--data", str(tmp_path / "nope"),
@@ -125,6 +140,18 @@ class TestEval:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 5
         assert any("holdout_baseline" in ln for ln in lines)
+
+    def test_baseline_on_other_gaits_is_data_error(self, workspace, collected, trained, tmp_path):
+        # a multi-task baseline with the trot head only has no head for bound
+        root, cfg = workspace
+        trot_only = tmp_path / "trot.qmp"
+        rc = cli.main(["train", "--config", str(cfg), "--gaits", "trot",
+                       "--data", str(collected), "--out", str(trot_only)])
+        assert rc == 0
+        rc = cli.main(["eval", "--config", str(cfg), "--model", str(trained),
+                       "--baseline", str(trot_only), "--data", str(collected),
+                       "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
 
     def test_unknown_model_file(self, workspace, collected, tmp_path):
         root, cfg = workspace

@@ -18,6 +18,7 @@ from quadgait.dataset import (
     write_dataset,
 )
 from quadgait.errors import BadMagic, ChecksumMismatch, EmptyDataset, TruncatedFile, VersionMismatch
+from quadgait.expert import ExpertGains
 from quadgait.gait import VelocityCommand, make_gait
 from quadgait.simulation import ImuSample, contact_flags, nominal_stance_state, pd_torque, read_imu, step
 
@@ -161,6 +162,20 @@ class TestQgdFormat:
         with pytest.raises(ChecksumMismatch):
             read_dataset(path)
 
+    def test_corrupt_task_name_is_checksum_mismatch(self, tmp_path):
+        # the first name byte sits at offset 36 (magic 4, header 28,
+        # length 4); 't' ^ 0x80 is not UTF-8, and the CRC must catch it
+        # before any decoding does
+        ds = random_dataset(np.random.default_rng(7), 50)
+        path = tmp_path / "n.qgd"
+        write_dataset(path, ds)
+        blob = bytearray(path.read_bytes())
+        assert blob[36] == ord("t")
+        blob[36] ^= 0x80
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ChecksumMismatch):
+            read_dataset(path)
+
     def test_version_mismatch(self, tmp_path):
         import struct
         import zlib
@@ -264,6 +279,29 @@ class TestCollection:
                 np.testing.assert_array_equal(a[name].obs, b[name].obs)
                 np.testing.assert_array_equal(a[name].act, b[name].act)
         assert report1.summary() == report2.summary()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_gate_stops_collection(self, model, contact, cpus, monkeypatch):
+        # without a height loop the body sags out of the survival band
+        # inside the 2 s gate: trot at about 1.6 s, bound at about 0.4 s.
+        # The gains reach the workers by pickling, and the error names
+        # the first failing gait in plan order, not the first to finish.
+        import quadgait.dataset as dataset
+
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: cpus)
+        plan = CollectionPlan(
+            gaits=[make_gait("trot"), make_gait("bound")],
+            vx_grid=[0.0, 0.2],
+            vy_grid=[0.0],
+            wz_grid=[0.0],
+            cells_per_gait=2,
+            samples_per_traj=50,
+            holdout_commands=[VelocityCommand(0.1, 0.0, 0.0)],
+            seed=11,
+        )
+        sagging = ExpertGains(kp_height=0.0, kd_height=0.0)
+        with pytest.raises(RuntimeError, match="competence gate for gait 'trot'"):
+            collect(plan, model, contact, 1e-3, sagging)
 
     def test_fallen_cell_discarded_and_counted(self, model, contact, gains, monkeypatch):
         # one command gets a limp expert (servo damping only): that robot
