@@ -7,7 +7,6 @@ from .expert import ExpertAction, ExpertGains, allocate_stance_forces, expert_to
 from .dataset import (
     CollectionPlan,
     Dataset,
-    DemoRecord,
     NormStats,
     build_observation,
     collect,

@@ -25,6 +25,7 @@ from .errors import (
     ChecksumMismatch,
     Diverged,
     EmptyDataset,
+    FileFormatError,
     TruncatedFile,
     VersionMismatch,
 )
@@ -37,8 +38,7 @@ from .simulation import (
     contact_flags,
     nominal_stance_state,
     read_imu,
-    step,
-    survival_violation,
+    simulate,
 )
 
 log = logging.getLogger(__name__)
@@ -65,13 +65,6 @@ def inverse_pd_target(tau, q, v, kp: float, kd: float) -> np.ndarray:
     if kp <= 0:
         raise ValueError("kp must be positive")
     return np.asarray(q) + (np.asarray(tau) + kd * np.asarray(v)) / kp
-
-
-@dataclass
-class DemoRecord:
-    task_id: int
-    obs: np.ndarray
-    action: np.ndarray
 
 
 @dataclass
@@ -106,10 +99,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.task_id)
-
-    def records(self):
-        for i in range(len(self)):
-            yield DemoRecord(int(self.task_id[i]), self.obs[i], self.act[i])
 
     def for_task(self, task: int) -> "Dataset":
         mask = self.task_id == task
@@ -215,6 +204,13 @@ class CollectionReport:
         return "\n".join(lines)
 
 
+def expert_target(model, contact, spec, cmd, gains, state) -> tuple[np.ndarray, np.ndarray]:
+    """The expert's pre-clamp torque at this state, as the PD target that
+    reproduces it (clamp included), and the torque itself."""
+    tau = expert_torques(state, model, spec, cmd, state.time, gains, contact.mu).tau_raw
+    return inverse_pd_target(tau, state.q, state.v, model.kp, model.kd), tau
+
+
 def run_expert_trajectory(
     model: RobotModel,
     contact: ContactParams,
@@ -227,64 +223,72 @@ def run_expert_trajectory(
     rng: np.random.Generator | None = None,
     plan: CollectionPlan | None = None,
 ):
-    """Closed-loop expert run; returns (obs, act, clamped_count).
+    """Closed-loop expert run on the `simulate` kernel; returns (obs,
+    act, clamped_count).
 
     The expert torque is converted to a position target (inverse PD on
     the raw torque) and fed back through the simulator's PD controller,
-    which reproduces the expert torque exactly, clamp included.
+    which reproduces the expert torque exactly, clamp included.  After
+    the settle ticks, each tick records the observation and that clean
+    target.
 
     With an rng, the start pose is jittered, the base receives small
-    seeded velocity kicks at a fixed cadence, and a time-correlated
-    (Ornstein-Uhlenbeck) exploration offset rides on the applied joint
-    target while the label stays clean; the recorded data then covers
-    the expert's correction funnel instead of one closed orbit.
+    seeded velocity kicks at a fixed cadence before the expert sees the
+    state, and a time-correlated (Ornstein-Uhlenbeck) exploration offset
+    rides on the applied joint target while the label stays clean; the
+    recorded data then covers the expert's correction funnel instead of
+    one closed orbit.
 
     Raises Diverged, with the time and the reason, as soon as the robot
     leaves the survival band, so a fall never becomes a demonstration.
     """
     gains = gains or ExpertGains()
     state = nominal_stance_state(model, contact=contact)
-    if rng is not None and plan is not None and plan.init_jitter > 0:
+    disturbed = rng is not None and plan is not None
+    if disturbed and plan.init_jitter > 0:
         state.base_pos[:2] += plan.init_jitter * rng.standard_normal(2)
         state.base_lin_vel[:2] += plan.init_jitter * rng.standard_normal(2)
         state.q += 0.5 * plan.init_jitter * rng.standard_normal(12)
-    prev = state
     n_settle = int(round(settle_time / dt))
     push_every = int(round((plan.push_interval if plan else 0.4) / dt)) or 1
     obs_rows = np.empty((n_samples, OBS_DIM))
     act_rows = np.empty((n_samples, ACT_DIM))
     clamped = 0
-    k = 0
     noise = np.zeros(12)
     if plan is not None and plan.action_noise_tau > 0:
         decay = np.exp(-dt / plan.action_noise_tau)
         spread = np.sqrt(1.0 - decay * decay)
     else:
         decay, spread = 0.0, 1.0
-    for i in range(n_settle + n_samples):
-        if rng is not None and plan is not None and i > 0 and i % push_every == 0:
-            state = state.copy()
-            state.base_lin_vel[:2] += plan.push_vel * rng.standard_normal(2)
-            state.base_ang_vel += plan.push_ang_vel * rng.standard_normal(3)
-        action = expert_torques(state, model, spec, cmd, state.time, gains, contact.mu)
-        target = inverse_pd_target(action.tau_raw, state.q, state.v, model.kp, model.kd)
-        if i >= n_settle:
+
+    def push(i, state):
+        if i == 0 or i % push_every:
+            return state
+        state = state.copy()
+        state.base_lin_vel[:2] += plan.push_vel * rng.standard_normal(2)
+        state.base_ang_vel += plan.push_ang_vel * rng.standard_normal(3)
+        return state
+
+    def control(i, prev, state):
+        nonlocal clamped, noise
+        target, tau = expert_target(model, contact, spec, cmd, gains, state)
+        k = i - n_settle
+        if k >= 0:
             imu = read_imu(prev, state, dt)
             flags = contact_flags(state, contact)
             obs_rows[k] = build_observation(imu, state, flags)
             act_rows[k] = target
-            if np.any(np.abs(action.tau_raw) > model.tau_max):
+            if np.any(np.abs(tau) > model.tau_max):
                 clamped += 1
-            k += 1
-        applied = target
-        if rng is not None and plan is not None and plan.action_noise > 0:
+        if disturbed and plan.action_noise > 0:
             noise = decay * noise + plan.action_noise * spread * rng.standard_normal(12)
-            applied = target + noise
-        prev = state
-        state = step(state, model, contact, applied, dt)
-        reason = survival_violation(state, model)
-        if reason is not None:
-            raise Diverged(state.time, reason)
+            return target + noise
+        return target
+
+    _, _, fall = simulate(model, contact, state, n_settle + n_samples, dt, control,
+                          disturb=push if disturbed else None)
+    if fall is not None:
+        raise Diverged(*fall)
     return obs_rows, act_rows, clamped
 
 
@@ -297,20 +301,18 @@ def expert_gate_check(
     gains: ExpertGains | None = None,
 ) -> bool:
     """Competence gate of a collection campaign: the expert must stay inside
-    the survival band through a zero-command closed-loop run of this gait."""
+    the survival band through a zero-command closed-loop run of this gait
+    on the `simulate` kernel, the run an expert `closed_loop_rollout`
+    makes."""
     gains = gains or ExpertGains()
-    state = nominal_stance_state(model, contact=contact)
     cmd = VelocityCommand(0.0, 0.0, 0.0)
-    try:
-        for _ in range(int(round(duration / dt))):
-            action = expert_torques(state, model, spec, cmd, state.time, gains, contact.mu)
-            target = inverse_pd_target(action.tau_raw, state.q, state.v, model.kp, model.kd)
-            state = step(state, model, contact, target, dt)
-            if survival_violation(state, model) is not None:
-                return False
-    except Diverged:
-        return False
-    return True
+
+    def control(i, prev, state):
+        return expert_target(model, contact, spec, cmd, gains, state)[0]
+
+    state = nominal_stance_state(model, contact=contact)
+    _, _, fall = simulate(model, contact, state, int(round(duration / dt)), dt, control)
+    return fall is None
 
 
 def _run_gate(job) -> bool:
@@ -489,8 +491,11 @@ def read_dataset(path) -> Dataset:
     task_id = raw[:, :4].copy().view("<u4").reshape(count)
     obs = raw[:, 4 : 4 + 4 * OBS_DIM].copy().view("<f4").reshape(count, OBS_DIM)
     act = raw[:, 4 + 4 * OBS_DIM :].copy().view("<f4").reshape(count, ACT_DIM)
-    return Dataset([name.decode("utf-8") for name in names], task_id.astype(np.uint32),
-                   obs, act, float(rate))
+    try:
+        names = [name.decode("utf-8") for name in names]
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: task name is not UTF-8") from None
+    return Dataset(names, task_id.astype(np.uint32), obs, act, float(rate))
 
 
 def export_csv(path, dataset: Dataset):

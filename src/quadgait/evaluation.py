@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, build_observation, inverse_pd_target
-from .errors import DegenerateTruth, Diverged, UnknownTask
-from .expert import ExpertGains, expert_torques
+from .dataset import Dataset, build_observation, expert_target
+from .errors import DegenerateTruth, UnknownTask
+from .expert import ExpertGains
 from .gait import GaitSpec, VelocityCommand
 from .network import MtlNetwork
 from .robot import RobotModel
@@ -21,8 +21,7 @@ from .simulation import (
     nominal_stance_state,
     quat_to_matrix,
     read_imu,
-    step,
-    survival_violation,
+    simulate,
 )
 
 
@@ -128,9 +127,6 @@ class RolloutSummary:
     mean_vy_error: float
     mean_height: float
 
-    def ok(self) -> bool:
-        return self.survived
-
 
 def closed_loop_rollout(
     model: RobotModel,
@@ -146,60 +142,67 @@ def closed_loop_rollout(
     state: SimState | None = None,
     log_target: RolloutLog | None = None,
 ):
-    """Run the policy (or, with net=None, the expert) in closed loop.
+    """Run the policy (or, with net=None, the expert) in closed loop on
+    the `simulate` kernel.
 
-    Each step: synthesize the observation, query the policy for a joint
-    target, apply it through the PD controller and integrate.  The
-    summary reports survival (height inside [0.4, 1.6] x nominal, tilt
-    below 0.6 rad) and mean velocity-tracking error after the transient.
+    Each tick the policy maps the observation synthesized from the state
+    to a joint target (the expert reads the state itself and needs no
+    observation); the PD controller applies the target and the simulator
+    integrates.  The summary reports survival (height inside [0.4, 1.6]
+    x nominal, tilt below 0.6 rad) and mean velocity-tracking error
+    after the transient.
     """
-    if net is not None and not (net.arch.kind == "single_task" or task_id < net.arch.num_tasks):
-        raise UnknownTask(f"task id {task_id} not trained (K={net.arch.num_tasks})")
-    gains = expert_gains or ExpertGains()
+    if net is not None:
+        net._check_task(task_id)
     state = state.copy() if state is not None else nominal_stance_state(model, contact=contact)
-    prev = state
-    t_end = state.time + duration
-    track_vx, track_vy, heights = [], [], []
-    survived = True
-    survival_time = duration
+    _, state, summary = _rollout(model, contact, spec, cmd, duration, net, task_id,
+                                 expert_gains or ExpertGains(), dt, transient, state, state,
+                                 log_target)
+    return state, summary
+
+
+def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, transient,
+             prev, state, log_target):
+    """closed_loop_rollout from the IMU pair (prev, state); returns
+    (prev, state, summary), so the next rollout can continue the IMU
+    history."""
     start_time = state.time
-    while state.time < t_end - 0.5 * dt:
-        imu = read_imu(prev, state, dt)
-        flags = contact_flags(state, contact)
-        obs = build_observation(imu, state, flags)
+    t_end = start_time + duration
+    n_ticks, t = 0, start_time
+    while t < t_end - 0.5 * dt:   # sums dt as step advances state.time
+        t += dt
+        n_ticks += 1
+    track_vx, track_vy, heights = [], [], []
+
+    def control(i, prev, state):
         if net is None:
-            action = expert_torques(state, model, spec, cmd, state.time, gains, contact.mu)
-            target = inverse_pd_target(action.tau_raw, state.q, state.v, model.kp, model.kd)
+            target = expert_target(model, contact, spec, cmd, gains, state)[0]
+            flags = contact_flags(state, contact) if log_target is not None else None
         else:
-            target = net.forward(obs, task_id)
+            flags = contact_flags(state, contact)
+            target = net.forward(build_observation(read_imu(prev, state, dt), state, flags), task_id)
         if log_target is not None:
             log_target.append(state, target, flags)
-        prev = state
-        try:
-            state = step(state, model, contact, target, dt)
-        except Diverged as exc:
-            survived = False
-            survival_time = exc.time - start_time
-            break
-        if survival_violation(state, model) is not None:
-            survived = False
-            survival_time = state.time - start_time
-            break
+        return target
+
+    def track(state):
         if state.time - start_time > transient:
-            R = quat_to_matrix(state.base_quat)
-            vel_body = R.T @ state.base_lin_vel
+            vel_body = quat_to_matrix(state.base_quat).T @ state.base_lin_vel
             track_vx.append(abs(vel_body[0] - cmd.vx))
             track_vy.append(abs(vel_body[1] - cmd.vy))
             heights.append(state.base_pos[2])
+
+    prev, state, fall = simulate(model, contact, state, n_ticks, dt, control, prev=prev,
+                                 on_step=track)
     summary = RolloutSummary(
-        survived=survived,
-        survival_time=survival_time,
+        survived=fall is None,
+        survival_time=duration if fall is None else fall[0] - start_time,
         duration=duration,
         mean_vx_error=float(np.mean(track_vx)) if track_vx else np.nan,
         mean_vy_error=float(np.mean(track_vy)) if track_vy else np.nan,
         mean_height=float(np.mean(heights)) if heights else np.nan,
     )
-    return state, summary
+    return prev, state, summary
 
 
 # ---------------------------------------------------------------------------
@@ -253,36 +256,28 @@ def run_switch_scenario(
     transient: float = 1.0,
     log_target: RolloutLog | None = None,
 ):
-    """Execute the scenario, switching the active head at each event.
+    """Execute the scenario as one continuous closed loop, switching the
+    active head at each event; the IMU history carries across switches.
 
-    Unknown gait names raise UnknownTask before any simulation.  Returns
-    per-segment (gait, command, RolloutSummary) tuples.
+    Unknown gait names and head indices raise UnknownTask before any
+    simulation.  Returns per-segment (gait, command, RolloutSummary)
+    tuples.
     """
     for _, gait, _cmd in scenario.events:
         if gait not in task_ids:
             raise UnknownTask(f"gait '{gait}' not in the trained task set")
-        if not (net.arch.kind == "single_task" or task_ids[gait] < net.arch.num_tasks):
-            raise UnknownTask(f"gait '{gait}' head index out of range")
+        net._check_task(task_ids[gait])
 
-    state = nominal_stance_state(model, contact=contact)
+    state = prev = nominal_stance_state(model, contact=contact)
     segments = []
     bounds = [e[0] for e in scenario.events] + [scenario.duration]
     for i, (t0, gait, cmd) in enumerate(scenario.events):
         seg_duration = bounds[i + 1] - t0
         if seg_duration <= 0:
             continue
-        state, summary = closed_loop_rollout(
-            model,
-            contact,
-            gait_specs[gait],
-            cmd,
-            seg_duration,
-            net=net,
-            task_id=task_ids[gait],
-            dt=dt,
-            transient=min(transient, seg_duration * 0.5),
-            state=state,
-            log_target=log_target,
+        prev, state, summary = _rollout(
+            model, contact, gait_specs[gait], cmd, seg_duration, net, task_ids[gait], None, dt,
+            min(transient, seg_duration * 0.5), prev, state, log_target,
         )
         segments.append((gait, cmd, summary))
         if not summary.survived:

@@ -181,28 +181,26 @@ class MtlNetwork:
             raise UnknownTask(f"task id {task_id} outside 0..{self.arch.num_tasks - 1}")
         return task_id
 
-    def trunk_features(self, obs: np.ndarray) -> np.ndarray:
-        x = self.norm.normalize(np.asarray(obs, dtype=float))
-        layers = self.trunk()
-        for i in range(self.n_trunk):
-            W, b = layers[2 * i], layers[2 * i + 1]
-            x = elu(x @ W.T + b)
-        return x
-
     def forward(self, obs: np.ndarray, task_id: int) -> np.ndarray:
         """Joint position targets for one observation or a batch."""
         task_id = self._check_task(task_id)
         obs = np.asarray(obs, dtype=float)
-        single = obs.ndim == 1
-        h = self.trunk_features(np.atleast_2d(obs))
-        head = self.head(task_id)
-        if self.arch.kind == MULTI_TASK:
-            Wh, bh, Wo, bo = head
-            h = elu(h @ Wh.T + bh)
-        else:
-            Wo, bo = head
-        out = h @ Wo.T + bo
-        return out[0] if single else out
+        out = self._forward(np.atleast_2d(obs), task_id)
+        return out[0] if obs.ndim == 1 else out
+
+    def _forward(self, obs: np.ndarray, task_id: int, keep: list | None = None) -> np.ndarray:
+        """Outputs for a batch and a checked task id.  With a list `keep`,
+        each layer's (input, pre-activation) pair is appended to it, input
+        layer first: what backprop needs.  Without one, each activation is
+        dropped once the next layer has read it."""
+        x = self.norm.normalize(obs)
+        layers = self.trunk() + self.head(task_id)
+        for i in range(0, len(layers), 2):
+            z = x @ layers[i].T + layers[i + 1]
+            if keep is not None:
+                keep.append((x, z))
+            x = elu(z) if i + 2 < len(layers) else z
+        return x
 
 
 def _init_params(arch: ArchSpec) -> list[np.ndarray]:
@@ -251,29 +249,6 @@ def total_loss(net: MtlNetwork, batches: dict[int, tuple[np.ndarray, np.ndarray]
     return raw, mean, per_task
 
 
-def _forward_cached(net: MtlNetwork, obs: np.ndarray, task_id: int):
-    """Forward pass keeping pre-activations for backprop."""
-    x = net.norm.normalize(np.asarray(obs, dtype=float))
-    acts = [x]
-    zs = []
-    layers = net.trunk()
-    for i in range(net.n_trunk):
-        W, b = layers[2 * i], layers[2 * i + 1]
-        z = acts[-1] @ W.T + b
-        zs.append(z)
-        acts.append(elu(z))
-    head = net.head(task_id)
-    if net.arch.kind == MULTI_TASK:
-        Wh, bh, Wo, bo = head
-        z = acts[-1] @ Wh.T + bh
-        zs.append(z)
-        acts.append(elu(z))
-    else:
-        Wo, bo = head
-    out = acts[-1] @ Wo.T + bo
-    return out, acts, zs
-
-
 def backward(net: MtlNetwork, batches: dict[int, tuple[np.ndarray, np.ndarray]], scale: str = "mean"):
     """Exact reverse-mode gradients of the batch loss for every parameter.
 
@@ -307,34 +282,24 @@ def _backward_per_task(net: MtlNetwork, batches, scale: str):
         if len(obs) == 0:
             continue
         task_idx = net._check_task(task)
-        out, acts, zs = _forward_cached(net, obs, task_idx)
+        kept = []
+        out = net._forward(np.asarray(obs, dtype=float), task_idx, keep=kept)
         err = out - np.asarray(act, dtype=float)
         per_task[task] = float(np.sum(err * err))
 
-        base = 2 * net.n_trunk + per_head * task_idx
+        # parameter index of each layer's weights, input layer first
+        head = 2 * net.n_trunk + per_head * task_idx
+        weights = [*range(0, 2 * net.n_trunk, 2), *range(head, head + per_head, 2)]
         delta = 2.0 * factor * err
-        if net.arch.kind == MULTI_TASK:
-            Wh, bh, Wo, bo = net.head(task_idx)
-            grads[base + 2] += delta.T @ acts[-1]          # Wo
-            grads[base + 3] += delta.sum(axis=0)           # bo
-            delta = (delta @ Wo) * elu_grad(zs[-1])
-            grads[base + 0] += delta.T @ acts[-2]          # Wh
-            grads[base + 1] += delta.sum(axis=0)           # bh
-            delta = delta @ Wh
-            depth = net.n_trunk
-        else:
-            Wo, bo = net.head(task_idx)
-            grads[base + 0] += delta.T @ acts[-1]
-            grads[base + 1] += delta.sum(axis=0)
-            delta = delta @ Wo
-            depth = net.n_trunk
-        layers = net.trunk()
-        for i in range(depth - 1, -1, -1):
-            delta = delta * elu_grad(zs[i])
-            grads[2 * i] += delta.T @ acts[i]
-            grads[2 * i + 1] += delta.sum(axis=0)
-            if i > 0:
-                delta = delta @ layers[2 * i]
+        for layer in range(len(weights) - 1, -1, -1):
+            w = weights[layer]
+            x, z = kept[layer]
+            if layer < len(weights) - 1:
+                delta = delta * elu_grad(z)
+            grads[w] += delta.T @ x
+            grads[w + 1] += delta.sum(axis=0)
+            if layer > 0:
+                delta = delta @ net.params[w]
     return grads, per_task
 
 

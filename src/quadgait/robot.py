@@ -223,9 +223,3 @@ def leg_inverse_kinematics(
     q0 = (q0 + np.pi) % (2.0 * np.pi) - np.pi
     return np.array([q0, q1, q2])
 
-
-def full_forward_kinematics(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Foot positions (4, 3) in the body frame for the stacked joint vector."""
-    return np.stack(
-        [leg_forward_kinematics(model, leg, q[3 * leg : 3 * leg + 3]) for leg in range(4)]
-    )

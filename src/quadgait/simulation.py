@@ -282,6 +282,47 @@ def survival_violation(state: SimState, model: RobotModel) -> str | None:
     return None
 
 
+def simulate(
+    model: RobotModel,
+    contact: ContactParams,
+    state: SimState,
+    n_ticks: int,
+    dt: float,
+    control,
+    prev: SimState | None = None,
+    disturb=None,
+    on_step=None,
+):
+    """The closed loop shared by collection, the expert gate and rollouts.
+
+    Each tick: `disturb(i, state)`, if given, may return a replaced
+    (pushed) state; `control(i, prev, state)` returns the joint target;
+    `step` advances; `on_step(state)`, if given, sees the new state once
+    it is known to be upright.  `prev` is the state one tick before
+    `state`, the pair `read_imu` needs; it defaults to `state`, so the
+    first reading sees no acceleration.  The loop ends after n_ticks ticks or at the first fall:
+    `step` raising Diverged, or a `survival_violation`.
+
+    Returns (prev, state, fall) with fall None or (time, reason).
+    """
+    prev = state if prev is None else prev
+    for i in range(n_ticks):
+        if disturb is not None:
+            state = disturb(i, state)
+        target = control(i, prev, state)
+        prev = state
+        try:
+            state = step(state, model, contact, target, dt)
+        except Diverged as exc:
+            return prev, state, (exc.time, exc.reason)
+        reason = survival_violation(state, model)
+        if reason is not None:
+            return prev, state, (state.time, reason)
+        if on_step is not None:
+            on_step(state)
+    return prev, state, None
+
+
 def read_imu(prev: SimState, curr: SimState, dt: float) -> ImuSample:
     """Body-frame IMU synthesized from two consecutive states.
 

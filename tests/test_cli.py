@@ -108,6 +108,26 @@ class TestTrain:
                        "--out", str(tmp_path / "m.qmp")])
         assert rc == cli.EXIT_DATA
 
+    def test_non_utf8_task_name_is_data_error(self, workspace, collected, tmp_path, capsys):
+        # the flip with the CRC recomputed reaches the name decoder
+        import zlib
+
+        root, cfg = workspace
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("trot_train.qgd", "bound_train.qgd"):
+            (data / name).write_bytes((collected / name).read_bytes())
+        blob = bytearray((data / "trot_train.qgd").read_bytes())[:-4]
+        blob[36] ^= 0x80
+        blob += (zlib.crc32(bytes(blob)) & 0xFFFFFFFF).to_bytes(4, "little")
+        (data / "trot_train.qgd").write_bytes(bytes(blob))
+        rc = cli.main(["train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(tmp_path / "m.qmp")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA
+        assert "trot_train.qgd: task name is not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_missing_data_dir(self, workspace, tmp_path):
         root, cfg = workspace
         rc = cli.main(["train", "--config", str(cfg), "--data", str(tmp_path / "nope"),

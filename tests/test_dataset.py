@@ -176,6 +176,23 @@ class TestQgdFormat:
         with pytest.raises(ChecksumMismatch):
             read_dataset(path)
 
+    def test_non_utf8_task_name_is_format_error(self, tmp_path):
+        # the same flip with the CRC recomputed passes the checksum, so
+        # the decoder meets the bad byte and must name the file
+        import zlib
+
+        from quadgait.errors import FileFormatError
+
+        ds = random_dataset(np.random.default_rng(7), 50)
+        path = tmp_path / "n.qgd"
+        write_dataset(path, ds)
+        blob = bytearray(path.read_bytes())[:-4]
+        blob[36] ^= 0x80
+        blob += (zlib.crc32(bytes(blob)) & 0xFFFFFFFF).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError, match="n.qgd: task name is not UTF-8"):
+            read_dataset(path)
+
     def test_version_mismatch(self, tmp_path):
         import struct
         import zlib

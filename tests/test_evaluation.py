@@ -153,6 +153,38 @@ class TestClosedLoopHarness:
                             net=None, expert_gains=gains, log_target=log)
         assert log.as_array().shape == (50, len(ROLLOUT_CSV_COLUMNS))
 
+    def test_collection_rows_are_rollout_rows(self, model, contact, gains):
+        # without an rng, collection and an expert rollout run the same
+        # loop: the labels are the logged targets, bit for bit
+        from quadgait.dataset import run_expert_trajectory
+        from quadgait.simulation import ROLLOUT_CSV_COLUMNS, RolloutLog
+
+        spec, cmd = make_gait("trot"), VelocityCommand(0.2, 0.0, 0.0)
+        _, act, _ = run_expert_trajectory(model, contact, spec, cmd, 0.02, 100, gains=gains)
+        log = RolloutLog()
+        closed_loop_rollout(model, contact, spec, cmd, 0.12, net=None, expert_gains=gains,
+                            log_target=log)
+        target = ROLLOUT_CSV_COLUMNS.index("target_0")
+        rows = log.as_array()
+        assert rows.shape[0] == 120
+        np.testing.assert_array_equal(rows[20:, target : target + 12], act)
+
+    @pytest.mark.parametrize("gait,height_loop", [("trot", True), ("trot", False),
+                                                  ("bound", False)])
+    def test_gate_is_a_zero_command_rollout(self, model, contact, gait, height_loop):
+        # without a height loop trot sags out of the band at about 1.6 s
+        # and bound at about 0.4 s
+        from quadgait.dataset import expert_gate_check
+        from quadgait.expert import ExpertGains
+
+        gains = ExpertGains() if height_loop else ExpertGains(kp_height=0.0, kd_height=0.0)
+        spec = make_gait(gait)
+        passed = expert_gate_check(model, contact, spec, gains=gains)
+        _, summary = closed_loop_rollout(model, contact, spec, VelocityCommand(), 2.0,
+                                         net=None, expert_gains=gains)
+        assert passed == summary.survived
+        assert passed == height_loop
+
 
 class TestSwitchScenario:
     def test_parse_scenario_text(self):
@@ -190,3 +222,19 @@ class TestSwitchScenario:
         assert len(segments) == 1
         assert segments[0][2].survived == direct.survived
         assert segments[0][2].survival_time == pytest.approx(direct.survival_time)
+
+    def test_switch_keeps_imu_history(self, model, contact):
+        # a switch to the same head and command changes nothing: the IMU
+        # reading after it still sees the previous tick
+        from quadgait.simulation import RolloutLog
+
+        net = trained_like_net(num_tasks=1, seed=9)
+        cmd = VelocityCommand()
+        scn = SwitchScenario(events=[(0.0, "trot", cmd), (0.03, "trot", cmd)], duration=0.2)
+        switched, direct = RolloutLog(), RolloutLog()
+        segments = run_switch_scenario(net, model, contact, scn, {"trot": make_gait("trot")},
+                                       {"trot": 0}, log_target=switched)
+        closed_loop_rollout(model, contact, make_gait("trot"), cmd, 0.2, net=net, task_id=0,
+                            log_target=direct)
+        assert segments[0][2].survived and len(switched.rows) > 31
+        np.testing.assert_array_equal(switched.as_array(), direct.as_array())
