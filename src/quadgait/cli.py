@@ -12,7 +12,7 @@ from pathlib import Path
 from . import dataset as ds
 from . import evaluation as ev
 from . import network as nn
-from .config import RunConfig, load_config
+from .config import RunConfig, _validate, load_config
 from .errors import ConfigError, FileFormatError, NonFiniteLoss, QuadGaitError, UnknownTask
 from .gait import GAIT_NAMES, VelocityCommand
 
@@ -26,6 +26,7 @@ def _load_cfg(args) -> RunConfig:
     cfg = load_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
         cfg.values["seed"] = args.seed
+        _validate(cfg)  # the training-grid subsample depends on the seed
     return cfg
 
 
@@ -147,6 +148,8 @@ def _rollout_common(args, scenario_events) -> int:
     if _maybe_print_config(args, cfg):
         return EXIT_OK
     gaits = args.gaits.split(",") if args.gaits else cfg.gait_names()
+    if args.duration is None:
+        args.duration = cfg["eval.rollout_duration"]
     model, contact = cfg.robot(), cfg.contact()
     specs = {name: cfg.gait(name) for name in GAIT_NAMES}
     task_ids = {name: i for i, name in enumerate(gaits)}
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vx", type=float, default=0.0)
     p.add_argument("--vy", type=float, default=0.0)
     p.add_argument("--wz", type=float, default=0.0)
-    p.add_argument("--duration", type=float, default=5.0)
+    p.add_argument("--duration", type=float, help="seconds (default eval.rollout_duration)")
     p.add_argument("--log", help="write rollout CSV here")
     p.set_defaults(func=cmd_rollout)
 

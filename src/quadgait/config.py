@@ -1,33 +1,28 @@
 """Line-oriented run configuration: 'section.key = value' per line.
 
-Every tunable default from the other modules appears here under its
-section; unknown keys are rejected.  A single master seed fans out to
-per-stage sub-seeds through a splitmix64-style hash, so collect, train
-and eval are independently reproducible.
+The defaults live in the dataclasses of the other modules (RobotModel,
+ContactParams, ExpertGains, CollectionPlan, TrainConfig, ArchSpec) and
+in the gait timing table; the schema of keys, defaults and parsers is
+derived from them, so a new setting takes one edit.  Unknown keys are
+rejected.  A single master seed fans out to per-stage sub-seeds through
+a splitmix64-style hash, so collect, train and eval are independently
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .dataset import CollectionPlan
 from .errors import ConfigError
 from .expert import ExpertGains
-from .gait import GAIT_NAMES, GaitSpec, VelocityCommand, make_gait
+from .gait import _DEFAULT_TIMING, GAIT_NAMES, GaitSpec, VelocityCommand, make_gait
 from .network import ArchSpec, TrainConfig
 from .robot import RobotModel
 from .simulation import ContactParams
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_floats(raw: str) -> list[float]:
@@ -38,71 +33,55 @@ def _parse_names(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
+def _defaults(cls) -> dict:
+    """Field name -> default of each dataclass field that has one."""
+    return {f.name: f.default if f.default is not MISSING else f.default_factory()
+            for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING}
+
+
+_PARSERS = {float: float, int: int, str: str, list: _parse_floats}
+# section -> the dataclass whose scalar and float-list fields are its keys
+_SECTIONS = {
+    "robot": RobotModel,
+    "contact": ContactParams,
+    "expert": ExpertGains,
+    "data": CollectionPlan,
+    "train": TrainConfig,
+}
+# fields set from other keys (seeds, gait specs, commands) or under another name
+_NOT_KEYS = {"seed", "holdout_commands"}
+_KEY_NAMES = {"contact_force_threshold": "force_threshold"}
+
+# section -> {field name: config key}
+_FIELD_KEYS: dict[str, dict[str, str]] = {}
 # key -> (parser, default); flat registry of every recognized config key
-_SCHEMA: dict[str, tuple] = {
+_SCHEMA: dict[str, tuple] = {}
+for _section, _cls in _SECTIONS.items():
+    _FIELD_KEYS[_section] = {}
+    for _name, _default in _defaults(_cls).items():
+        if _name in _NOT_KEYS or type(_default) not in _PARSERS:
+            continue
+        _key = f"{_section}.{_KEY_NAMES.get(_name, _name)}"
+        _FIELD_KEYS[_section][_name] = _key
+        _SCHEMA[_key] = (_PARSERS[type(_default)], _default)
+
+_robot = _defaults(RobotModel)
+_inertia = np.diag(_robot["base_inertia"])
+_SCHEMA.update({
     "seed": (int, 0),
     "sim.dt": (float, 1e-3),
-    "robot.mass": (float, 12.0),
-    "robot.hip_x": (float, 0.1881),
-    "robot.hip_y": (float, 0.04675),
-    "robot.l_abd": (float, 0.08),
-    "robot.l_thigh": (float, 0.213),
-    "robot.l_calf": (float, 0.213),
-    "robot.kp": (float, 40.0),
-    "robot.kd": (float, 0.5),
-    "robot.tau_max": (float, 23.7),
-    "robot.rotor_inertia": (float, 0.02),
-    "robot.nominal_base_height": (float, 0.30),
-    "robot.inertia_xx": (float, 0.10),
-    "robot.inertia_yy": (float, 0.25),
-    "robot.inertia_zz": (float, 0.30),
-    "contact.k_n": (float, 3.0e4),
-    "contact.c_n": (float, 300.0),
-    "contact.mu": (float, 0.7),
-    "contact.v_slip": (float, 0.02),
-    "contact.force_threshold": (float, 1.0),
-    "contact.stop_mass": (float, 0.6),
-    "expert.kp_height": (float, 1200.0),
-    "expert.kd_height": (float, 100.0),
-    "expert.kp_attitude": (float, 120.0),
-    "expert.kd_attitude": (float, 16.0),
-    "expert.kv_linear": (float, 60.0),
-    "expert.k_raibert": (float, 0.03),
-    "expert.kp_swing": (float, 40.0),
-    "expert.kd_swing": (float, 1.0),
-    "expert.kp_hold": (float, 60.0),
-    "expert.kd_hold": (float, 1.0),
-    "expert.torque_weight": (float, 3.0),
-    "expert.blend_frac": (float, 0.04),
+    "robot.hip_x": (float, float(_robot["hip_offsets"][0, 0])),
+    "robot.hip_y": (float, float(_robot["hip_offsets"][0, 1])),
+    "robot.inertia_xx": (float, float(_inertia[0])),
+    "robot.inertia_yy": (float, float(_inertia[1])),
+    "robot.inertia_zz": (float, float(_inertia[2])),
     "data.gaits": (_parse_names, ["trot", "bound", "jump"]),
-    "data.vx_grid": (_parse_floats, [0.0, 0.15, -0.15, 0.3, -0.3]),
-    "data.vy_grid": (_parse_floats, [0.0, 0.1, -0.1]),
-    "data.wz_grid": (_parse_floats, [0.0]),
-    "data.cells_per_gait": (int, 10),
-    "data.samples_per_traj": (int, 6000),
-    "data.settle_time": (float, 0.0),
-    "data.holdout_vx": (_parse_floats, [0.22, -0.08]),
-    "data.push_vel": (float, 0.08),
-    "data.push_ang_vel": (float, 0.15),
-    "data.push_interval": (float, 0.4),
-    "data.init_jitter": (float, 0.02),
-    "data.action_noise": (float, 0.05),
-    "data.action_noise_tau": (float, 0.05),
+    "data.holdout_vx": (_parse_floats, [c.vx for c in _defaults(CollectionPlan)["holdout_commands"]]),
     "train.arch": (str, "mtl"),
-    "train.hidden_width": (int, 128),
-    "train.epochs": (int, 30),
-    "train.batch_size": (int, 256),
-    "train.learning_rate": (float, 1e-3),
-    "train.beta1": (float, 0.9),
-    "train.beta2": (float, 0.999),
-    "train.eps": (float, 1e-8),
-    "train.val_fraction": (float, 0.1),
-    "train.input_noise": (float, 0.05),
+    "train.hidden_width": (int, ArchSpec.hidden_width),
     "eval.rollout_duration": (float, 5.0),
     "eval.transient": (float, 1.0),
-}
-from .gait import _DEFAULT_TIMING  # noqa: E402  (module-level schema build)
-
+})
 for _name in GAIT_NAMES:
     _SCHEMA[f"gait.{_name}.period"] = (float, _DEFAULT_TIMING[_name][0])
     _SCHEMA[f"gait.{_name}.swing_height"] = (float, _DEFAULT_TIMING[_name][1])
@@ -147,50 +126,25 @@ class RunConfig:
         return self.values["seed"]
 
     # builders -------------------------------------------------------------
+    def _fields(self, section: str) -> dict:
+        """A section's values as keyword arguments of its dataclass, lists
+        copied."""
+        return {name: copy.copy(self.values[key]) for name, key in _FIELD_KEYS[section].items()}
+
     def robot(self) -> RobotModel:
         v = self.values
         hx, hy = v["robot.hip_x"], v["robot.hip_y"]
         return RobotModel(
-            mass=v["robot.mass"],
             base_inertia=np.diag([v["robot.inertia_xx"], v["robot.inertia_yy"], v["robot.inertia_zz"]]),
             hip_offsets=np.array([[hx, hy, 0.0], [hx, -hy, 0.0], [-hx, hy, 0.0], [-hx, -hy, 0.0]]),
-            l_abd=v["robot.l_abd"],
-            l_thigh=v["robot.l_thigh"],
-            l_calf=v["robot.l_calf"],
-            kp=v["robot.kp"],
-            kd=v["robot.kd"],
-            tau_max=v["robot.tau_max"],
-            rotor_inertia=v["robot.rotor_inertia"],
-            nominal_base_height=v["robot.nominal_base_height"],
+            **self._fields("robot"),
         )
 
     def contact(self) -> ContactParams:
-        v = self.values
-        return ContactParams(
-            k_n=v["contact.k_n"],
-            c_n=v["contact.c_n"],
-            mu=v["contact.mu"],
-            v_slip=v["contact.v_slip"],
-            contact_force_threshold=v["contact.force_threshold"],
-            stop_mass=v["contact.stop_mass"],
-        )
+        return ContactParams(**self._fields("contact"))
 
     def expert_gains(self) -> ExpertGains:
-        v = self.values
-        return ExpertGains(
-            kp_height=v["expert.kp_height"],
-            kd_height=v["expert.kd_height"],
-            kp_attitude=v["expert.kp_attitude"],
-            kd_attitude=v["expert.kd_attitude"],
-            kv_linear=v["expert.kv_linear"],
-            k_raibert=v["expert.k_raibert"],
-            kp_swing=v["expert.kp_swing"],
-            kd_swing=v["expert.kd_swing"],
-            kp_hold=v["expert.kp_hold"],
-            kd_hold=v["expert.kd_hold"],
-            torque_weight=v["expert.torque_weight"],
-            blend_frac=v["expert.blend_frac"],
-        )
+        return ExpertGains(**self._fields("expert"))
 
     def gait(self, name: str) -> GaitSpec:
         if name not in GAIT_NAMES:
@@ -205,27 +159,15 @@ class RunConfig:
         return list(self.values["data.gaits"])
 
     def plan(self, gaits: list[str] | None = None) -> CollectionPlan:
-        v = self.values
         names = gaits if gaits is not None else self.gait_names()
         for name in names:
             if name not in GAIT_NAMES:
                 raise ConfigError(f"unknown gait '{name}' in collection plan")
         return CollectionPlan(
             gaits=[self.gait(name) for name in names],
-            vx_grid=list(v["data.vx_grid"]),
-            vy_grid=list(v["data.vy_grid"]),
-            wz_grid=list(v["data.wz_grid"]),
-            cells_per_gait=v["data.cells_per_gait"],
-            samples_per_traj=v["data.samples_per_traj"],
-            settle_time=v["data.settle_time"],
-            holdout_commands=[VelocityCommand(vx, 0.0, 0.0) for vx in v["data.holdout_vx"]],
+            holdout_commands=[VelocityCommand(vx, 0.0, 0.0) for vx in self.values["data.holdout_vx"]],
             seed=derive_seed(self.seed, "collect"),
-            push_vel=v["data.push_vel"],
-            push_ang_vel=v["data.push_ang_vel"],
-            push_interval=v["data.push_interval"],
-            init_jitter=v["data.init_jitter"],
-            action_noise=v["data.action_noise"],
-            action_noise_tau=v["data.action_noise_tau"],
+            **self._fields("data"),
         )
 
     def arch(self, num_tasks: int, kind: str | None = None, seed: int | None = None) -> ArchSpec:
@@ -241,17 +183,9 @@ class RunConfig:
         )
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        v = self.values
         return TrainConfig(
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-            learning_rate=v["train.learning_rate"],
-            beta1=v["train.beta1"],
-            beta2=v["train.beta2"],
-            eps=v["train.eps"],
-            val_fraction=v["train.val_fraction"],
-            input_noise=v["train.input_noise"],
             seed=derive_seed(self.seed, "train", 1) if seed is None else seed,
+            **self._fields("train"),
         )
 
     def dump(self) -> str:
@@ -298,13 +232,16 @@ def load_config(path=None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    """Instantiate every sub-config so module invariants run at load time."""
+    """Instantiate every sub-config, the collection plan and the network
+    architecture included, so module invariants run at load time."""
     try:
+        if not cfg.gait_names():
+            raise ValueError("data.gaits names no gait")
         cfg.robot()
         cfg.contact()
         cfg.expert_gains()
-        for name in cfg.gait_names():
-            cfg.gait(name)
+        cfg.plan().validate()
+        cfg.arch(num_tasks=len(cfg.gait_names()))
         cfg.train_config()
         if not 0.0 < cfg["sim.dt"] <= 0.005:
             raise ValueError("sim.dt must be in (0, 0.005]")

@@ -9,26 +9,17 @@ the PD controller reproduces the expert torque exactly (clamp included).
 
 from __future__ import annotations
 
-import io
 import logging
 import multiprocessing
 import os
 import struct
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    ChecksumMismatch,
-    Diverged,
-    EmptyDataset,
-    FileFormatError,
-    TruncatedFile,
-    VersionMismatch,
-)
+from .container import read_container, write_container
+from .errors import Diverged, EmptyDataset, FileFormatError, TruncatedFile, VersionMismatch
 from .expert import ExpertGains, expert_torques
 from .gait import GaitSpec, VelocityCommand
 from .robot import RobotModel
@@ -114,24 +105,6 @@ class Dataset:
             np.asarray(act, dtype=np.float32).reshape(-1, ACT_DIM),
             float(sample_rate_hz),
         )
-
-
-def merge_datasets(parts: list[Dataset], task_names: list[str]) -> Dataset:
-    """Re-index several single-task files against a global task table."""
-    ids, obs, act = [], [], []
-    rate = parts[0].sample_rate_hz if parts else 1000.0
-    for part in parts:
-        remap = np.array([task_names.index(n) for n in part.task_names], dtype=np.uint32)
-        ids.append(remap[part.task_id])
-        obs.append(part.obs)
-        act.append(part.act)
-    return Dataset(
-        list(task_names),
-        np.concatenate(ids) if ids else np.empty(0, np.uint32),
-        np.concatenate(obs) if obs else np.empty((0, OBS_DIM), np.float32),
-        np.concatenate(act) if act else np.empty((0, ACT_DIM), np.float32),
-        rate,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,69 +406,51 @@ def collect(
 
 _MAGIC = b"QGD1"
 _VERSION = 1
+# after the version: obs_dim, act_dim, task count, record count, sample rate
+_HEADER = struct.Struct("<IIIQf")
+_NAME_LEN = struct.Struct("<I")
+_RECORD = np.dtype([("task_id", "<u4"), ("obs", "<f4", (OBS_DIM,)), ("act", "<f4", (ACT_DIM,))])
 
 
 def write_dataset(path, dataset: Dataset):
-    """Write the QGD1 file: little-endian header, task-name table,
-    records, trailing CRC32 of all preceding bytes."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<IIIIQf", _VERSION, OBS_DIM, ACT_DIM,
-                          len(dataset.task_names), len(dataset), dataset.sample_rate_hz))
+    """Write the QGD1 file: container framing around a little-endian
+    header, the task-name table and the packed records."""
+    table = [_HEADER.pack(OBS_DIM, ACT_DIM, len(dataset.task_names), len(dataset),
+                          dataset.sample_rate_hz)]
     for name in dataset.task_names:
         raw = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(raw)))
-        buf.write(raw)
-    for i in range(len(dataset)):
-        buf.write(struct.pack("<I", int(dataset.task_id[i])))
-        buf.write(dataset.obs[i].astype("<f4").tobytes())
-        buf.write(dataset.act[i].astype("<f4").tobytes())
-    payload = buf.getvalue()
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
+        table += [_NAME_LEN.pack(len(raw)), raw]
+    records = np.empty(len(dataset), _RECORD)
+    records["task_id"] = dataset.task_id
+    records["obs"] = dataset.obs
+    records["act"] = dataset.act
+    write_container(path, _MAGIC, _VERSION, b"".join(table), records)
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != _MAGIC:
-        raise BadMagic(f"{path}: not a QGD1 file")
-    if len(blob) < 4 + 28 + 4:
-        raise TruncatedFile(f"{path}: header incomplete")
-    payload, crc_bytes = blob[:-4], blob[-4:]
-    (crc_stored,) = struct.unpack("<I", crc_bytes)
-    version, obs_dim, act_dim, num_tasks, count, rate = struct.unpack_from("<IIIIQf", payload, 4)
-    if version != _VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {_VERSION}")
+    body = read_container(path, _MAGIC, _VERSION, _HEADER.size)
+    obs_dim, act_dim, num_tasks, count, rate = _HEADER.unpack_from(body)
     if obs_dim != OBS_DIM or act_dim != ACT_DIM:
         raise VersionMismatch(f"{path}: unexpected dims {obs_dim}x{act_dim}")
-    off = 4 + 28
+    off = _HEADER.size
     names = []
     for _ in range(num_tasks):
-        if off + 4 > len(payload):
+        if off + _NAME_LEN.size > len(body):
             raise TruncatedFile(f"{path}: task table incomplete")
-        (n,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        if off + n > len(payload):
+        (n,) = _NAME_LEN.unpack_from(body, off)
+        off += _NAME_LEN.size
+        if off + n > len(body):
             raise TruncatedFile(f"{path}: task table incomplete")
-        names.append(payload[off : off + n])
+        try:
+            names.append(str(body[off : off + n], "utf-8"))
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: task name is not UTF-8") from None
         off += n
-    rec_size = 4 + 4 * OBS_DIM + 4 * ACT_DIM
-    if off + count * rec_size != len(payload):
+    if off + count * _RECORD.itemsize != len(body):
         raise TruncatedFile(f"{path}: expected {count} records")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumMismatch(f"{path}: CRC32 mismatch")
-    raw = np.frombuffer(payload, dtype=np.uint8, offset=off).reshape(count, rec_size)
-    task_id = raw[:, :4].copy().view("<u4").reshape(count)
-    obs = raw[:, 4 : 4 + 4 * OBS_DIM].copy().view("<f4").reshape(count, OBS_DIM)
-    act = raw[:, 4 + 4 * OBS_DIM :].copy().view("<f4").reshape(count, ACT_DIM)
-    try:
-        names = [name.decode("utf-8") for name in names]
-    except UnicodeDecodeError:
-        raise FileFormatError(f"{path}: task name is not UTF-8") from None
-    return Dataset(names, task_id.astype(np.uint32), obs, act, float(rate))
+    records = np.frombuffer(body, _RECORD, count=count, offset=off)
+    return Dataset(names, records["task_id"].astype(np.uint32), records["obs"].copy(),
+                   records["act"].copy(), float(rate))
 
 
 def export_csv(path, dataset: Dataset):

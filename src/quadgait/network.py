@@ -20,28 +20,18 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import io
 import itertools
 import multiprocessing
 import struct
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .container import read_container, write_container
 from .dataset import ACT_DIM, OBS_DIM, Dataset, NormStats, fit_norm_stats, usable_cpus
-from .errors import (
-    BadMagic,
-    ChecksumMismatch,
-    EmptyDataset,
-    NonFiniteLoss,
-    ShapeMismatch,
-    TruncatedFile,
-    UnknownTask,
-    VersionMismatch,
-)
+from .errors import EmptyDataset, NonFiniteLoss, ShapeMismatch, TruncatedFile, UnknownTask
 
 MULTI_TASK = "multi_task"
 SINGLE_TASK = "single_task"
@@ -203,23 +193,28 @@ class MtlNetwork:
         return x
 
 
+def _layer_shapes(arch: ArchSpec):
+    """(rows, cols) of the weight matrices as (trunk, one head, head count):
+    the parameter list is the trunk's layers, then each head's in task
+    order."""
+    h, d_in, d_out = arch.hidden_width, arch.input_dim, arch.output_dim
+    if arch.kind == MULTI_TASK:
+        return [(h, d_in), (h, h)], [(h, h), (d_out, h)], arch.num_tasks
+    return [(h, d_in), (h, h), (h, h)], [(d_out, h)], 1
+
+
+def _layer_bytes(shapes) -> int:
+    """QMP1 bytes of these layers: a shape pair, f32 weights and bias each."""
+    return sum(_SHAPE.size + 4 * (rows * cols + rows) for rows, cols in shapes)
+
+
 def _init_params(arch: ArchSpec) -> list[np.ndarray]:
     """He-style init scaled for ELU (std = sqrt(1.55 / fan_in)), zero biases."""
     rng = np.random.default_rng(arch.seed)
-    h, d_in, d_out = arch.hidden_width, arch.input_dim, arch.output_dim
-
-    def dense(n_out, n_in):
-        W = rng.standard_normal((n_out, n_in)) * np.sqrt(1.55 / n_in)
-        return [W, np.zeros(n_out)]
-
+    trunk, head, heads = _layer_shapes(arch)
     params: list[np.ndarray] = []
-    if arch.kind == MULTI_TASK:
-        params += dense(h, d_in) + dense(h, h)
-        for _ in range(arch.num_tasks):
-            params += dense(h, h) + dense(d_out, h)
-    else:
-        params += dense(h, d_in) + dense(h, h) + dense(h, h)
-        params += dense(d_out, h)
+    for rows, cols in trunk + head * heads:
+        params += [rng.standard_normal((rows, cols)) * np.sqrt(1.55 / cols), np.zeros(rows)]
     return params
 
 
@@ -464,82 +459,55 @@ _MAGIC = b"QMP1"
 _VERSION = 1
 _KIND_CODE = {MULTI_TASK: 0, SINGLE_TASK: 1}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
+# after the version: kind code, input dim, output dim, hidden width, task count
+_HEADER = struct.Struct("<BIIII")
+_SHAPE = struct.Struct("<II")
 
 
 def save_weights(path, net: MtlNetwork):
-    """QMP1: header, f32 norm stats, per-layer (rows, cols, W, b), CRC32."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
+    """QMP1: container framing around the architecture header, f32 norm
+    stats and per-layer (rows, cols, W, b)."""
     arch = net.arch
-    buf.write(struct.pack("<IBIIII", _VERSION, _KIND_CODE[arch.kind], arch.input_dim,
-                          arch.output_dim, arch.hidden_width, arch.num_tasks))
-    buf.write(net.norm.mean.astype("<f4").tobytes())
-    buf.write(net.norm.std.astype("<f4").tobytes())
+    body = [_HEADER.pack(_KIND_CODE[arch.kind], arch.input_dim, arch.output_dim,
+                         arch.hidden_width, arch.num_tasks),
+            net.norm.mean.astype("<f4").tobytes(), net.norm.std.astype("<f4").tobytes()]
     for i in range(0, len(net.params), 2):
         W, b = net.params[i], net.params[i + 1]
-        buf.write(struct.pack("<II", W.shape[0], W.shape[1]))
-        buf.write(W.astype("<f4").tobytes())
-        buf.write(b.astype("<f4").tobytes())
-    payload = buf.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-
-
-def _expected_shapes(arch: ArchSpec):
-    h, d_in, d_out = arch.hidden_width, arch.input_dim, arch.output_dim
-    shapes = []
-    if arch.kind == MULTI_TASK:
-        shapes += [(h, d_in), (h, h)]
-        for _ in range(arch.num_tasks):
-            shapes += [(h, h), (d_out, h)]
-    else:
-        shapes += [(h, d_in), (h, h), (h, h), (d_out, h)]
-    return shapes
+        body += [_SHAPE.pack(*W.shape), W.astype("<f4").tobytes(), b.astype("<f4").tobytes()]
+    write_container(path, _MAGIC, _VERSION, b"".join(body))
 
 
 def load_weights(path) -> MtlNetwork:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != _MAGIC:
-        raise BadMagic(f"{path}: not a QMP1 file")
-    if len(blob) < 4 + 21 + 4:
-        raise TruncatedFile(f"{path}: header incomplete")
-    payload, crc_bytes = blob[:-4], blob[-4:]
-    (crc_stored,) = struct.unpack("<I", crc_bytes)
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumMismatch(f"{path}: CRC32 mismatch")
-    version, kind_code, d_in, d_out, h, k = struct.unpack_from("<IBIIII", payload, 4)
-    if version != _VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {_VERSION}")
+    body = read_container(path, _MAGIC, _VERSION, _HEADER.size)
+    kind_code, d_in, d_out, h, k = _HEADER.unpack_from(body)
     if kind_code not in _KIND_NAME:
         raise ShapeMismatch(f"{path}: unknown architecture code {kind_code}")
-    arch = ArchSpec(kind=_KIND_NAME[kind_code], input_dim=d_in, output_dim=d_out,
-                    hidden_width=h, num_tasks=k)
-    off = 4 + 21
-    if off + 8 * d_in > len(payload):
-        raise TruncatedFile(f"{path}: normalization block incomplete")
-    mean = np.frombuffer(payload, dtype="<f4", count=d_in, offset=off).astype(float)
+    try:
+        arch = ArchSpec(kind=_KIND_NAME[kind_code], input_dim=d_in, output_dim=d_out,
+                        hidden_width=h, num_tasks=k)
+    except ValueError as exc:
+        raise ShapeMismatch(f"{path}: {exc}") from None
+    # the size the header implies, checked before anything is allocated
+    trunk, head, heads = _layer_shapes(arch)
+    need = _HEADER.size + 8 * d_in + _layer_bytes(trunk) + heads * _layer_bytes(head)
+    if need > len(body):
+        raise TruncatedFile(f"{path}: header implies {need} body bytes, found {len(body)}")
+    if need < len(body):
+        raise ShapeMismatch(f"{path}: {len(body) - need} trailing bytes")
+    off = _HEADER.size
+    mean = np.frombuffer(body, dtype="<f4", count=d_in, offset=off).astype(float)
     off += 4 * d_in
-    std = np.frombuffer(payload, dtype="<f4", count=d_in, offset=off).astype(float)
+    std = np.frombuffer(body, dtype="<f4", count=d_in, offset=off).astype(float)
     off += 4 * d_in
-
     params = []
-    for rows, cols in _expected_shapes(arch):
-        if off + 8 > len(payload):
-            raise TruncatedFile(f"{path}: layer header incomplete")
-        r, c = struct.unpack_from("<II", payload, off)
-        off += 8
-        if (r, c) != (rows, cols):
-            raise ShapeMismatch(f"{path}: layer shape {(r, c)}, expected {(rows, cols)}")
-        need = 4 * (r * c + r)
-        if off + need > len(payload):
-            raise TruncatedFile(f"{path}: layer data incomplete")
-        W = np.frombuffer(payload, dtype="<f4", count=r * c, offset=off).astype(float).reshape(r, c)
-        off += 4 * r * c
-        b = np.frombuffer(payload, dtype="<f4", count=r, offset=off).astype(float)
-        off += 4 * r
-        params += [W, b]
-    if off != len(payload):
-        raise ShapeMismatch(f"{path}: {len(payload) - off} trailing bytes")
+    for rows, cols in trunk + head * heads:
+        shape = _SHAPE.unpack_from(body, off)
+        off += _SHAPE.size
+        if shape != (rows, cols):
+            raise ShapeMismatch(f"{path}: layer shape {shape}, expected {(rows, cols)}")
+        W = np.frombuffer(body, dtype="<f4", count=rows * cols, offset=off).astype(float)
+        off += 4 * rows * cols
+        b = np.frombuffer(body, dtype="<f4", count=rows, offset=off).astype(float)
+        off += 4 * rows
+        params += [W.reshape(rows, cols), b]
     return MtlNetwork(arch, NormStats(mean, std), params)

@@ -219,6 +219,13 @@ class TestRolloutAndSwitch:
                        "--scenario", str(scn), "--duration", "0.5"])
         assert rc == cli.EXIT_DATA
 
+    def test_rollout_duration_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("eval.rollout_duration = 0.3\n")
+        rc = cli.main(["rollout", "--config", str(cfg), "--expert", "--gait", "trot"])
+        assert rc == cli.EXIT_OK
+        assert "/0.30s" in capsys.readouterr().out
+
     def test_scenario_file_missing(self, workspace, trained):
         root, cfg = workspace
         rc = cli.main(["switch", "--config", str(cfg), "--model", str(trained),
@@ -240,6 +247,24 @@ class TestConfigPlumbing:
         bad.write_text("robot.wheels = 4\n")
         rc = cli.main(["collect", "--config", str(bad), "--out", str(tmp_path / "d")])
         assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("collect", "data.holdout_vx = 0.15\ndata.vx_grid = 0.15\ndata.vy_grid = 0\ndata.gaits = trot\n"),
+            ("train", "train.hidden_width = 0\n"),
+            ("train", "data.gaits =\n"),
+        ],
+        ids=["holdout_overlap", "zero_width", "no_gaits"],
+    )
+    def test_invalid_value_is_one_line_usage_error(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        where = "--out" if command == "collect" else "--data"
+        rc = cli.main([command, "--config", str(bad), where, str(tmp_path / "d")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
 
     def test_seed_override(self, workspace, capsys):
         root, cfg = workspace

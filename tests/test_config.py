@@ -1,7 +1,15 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from quadgait.config import derive_seed, load_config, parse_config, splitmix64
+from quadgait.config import RunConfig, derive_seed, load_config, parse_config, splitmix64
+from quadgait.dataset import CollectionPlan
 from quadgait.errors import ConfigError
+from quadgait.expert import ExpertGains
+from quadgait.network import ArchSpec, TrainConfig
+from quadgait.robot import RobotModel
+from quadgait.simulation import ContactParams
 
 
 class TestParseConfig:
@@ -73,6 +81,49 @@ class TestParseConfig:
     def test_unknown_gait_in_plan(self):
         with pytest.raises(ConfigError):
             parse_config("data.gaits = gallop")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("data.gaits = trot\ndata.vx_grid = 0.15\ndata.vy_grid = 0\ndata.holdout_vx = 0.15",
+             "holdout command overlaps"),
+            ("train.hidden_width = 0", "hidden_width"),
+            ("data.gaits =", "data.gaits names no gait"),
+        ],
+        ids=["holdout_overlap", "zero_width", "no_gaits"],
+    )
+    def test_plan_and_arch_checked_at_load(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+
+def _assert_fields_equal(built, default, skip=()):
+    for f in fields(default):
+        if f.name not in skip:
+            np.testing.assert_array_equal(getattr(built, f.name), getattr(default, f.name),
+                                          err_msg=f.name)
+
+
+class TestOneSourceOfDefaults:
+    """The builders of a config without overrides give the dataclass
+    defaults, because the schema is derived from them."""
+
+    def test_contact_and_expert(self):
+        cfg = RunConfig()
+        assert cfg.contact() == ContactParams()
+        assert cfg.expert_gains() == ExpertGains()
+
+    def test_robot(self):
+        _assert_fields_equal(RunConfig().robot(), RobotModel())
+
+    def test_train_and_arch(self):
+        cfg = RunConfig()
+        _assert_fields_equal(cfg.train_config(), TrainConfig(), skip={"seed"})
+        assert cfg.arch(num_tasks=3).hidden_width == ArchSpec().hidden_width
+
+    def test_plan(self):
+        plan = RunConfig().plan()
+        _assert_fields_equal(plan, CollectionPlan(gaits=plan.gaits), skip={"seed", "gaits"})
 
 
 class TestSeedDerivation:

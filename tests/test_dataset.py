@@ -13,7 +13,6 @@ from quadgait.dataset import (
     fit_norm_stats,
     import_csv,
     inverse_pd_target,
-    merge_datasets,
     read_dataset,
     write_dataset,
 )
@@ -136,6 +135,20 @@ class TestQgdFormat:
         assert blob[:4] == b"QGD1"
         version, obs_dim, act_dim = struct.unpack_from("<III", blob, 4)
         assert (version, obs_dim, act_dim) == (1, 34, 12)
+
+    def test_records_are_packed_structs(self, tmp_path):
+        # reference: one (u32 task_id, f32 obs[34], f32 act[12]) struct per
+        # record, right before the 4-byte CRC
+        import struct
+
+        ds = random_dataset(np.random.default_rng(11), 3, names=("trot", "bound"))
+        path = tmp_path / "r.qgd"
+        write_dataset(path, ds)
+        expected = b"".join(
+            struct.pack(f"<I{OBS_DIM}f{ACT_DIM}f", int(t), *o, *a)
+            for t, o, a in zip(ds.task_id, ds.obs, ds.act)
+        )
+        assert path.read_bytes()[-4 - len(expected) : -4] == expected
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.qgd"
@@ -357,12 +370,3 @@ class TestCollection:
         assert len(train["trot"]) == 8 * plan.samples_per_traj
         assert len(holdout["trot"]) == plan.samples_per_traj
         assert "train/trot cmd=(0.3, 0.0, 0.0)" in report.summary()
-
-    def test_merge_reindexes_tasks(self):
-        rng = np.random.default_rng(10)
-        a = random_dataset(rng, 30, names=("trot",))
-        b = random_dataset(rng, 20, names=("bound",))
-        merged = merge_datasets([a, b], ["trot", "bound"])
-        assert len(merged) == 50
-        assert set(np.unique(merged.task_id)) == {0, 1}
-        assert merged.task_names == ["trot", "bound"]

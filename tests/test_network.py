@@ -402,3 +402,41 @@ class TestWeightsFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(ChecksumMismatch):
             load_weights(path)
+
+    @staticmethod
+    def _with_header_field(path, offset, value):
+        """Rewrite one u32 of the QMP1 header and recompute the CRC."""
+        import struct
+        import zlib
+
+        blob = bytearray(path.read_bytes())[:-4]
+        struct.pack_into("<I", blob, offset, value)
+        blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+
+    def test_huge_task_count_fails_before_allocating(self, tmp_path):
+        # num_tasks sits at offset 21 (magic 4, version 4, kind 1, three
+        # dims); a million heads imply far more bytes than the file holds
+        import tracemalloc
+
+        from quadgait.errors import FileFormatError
+
+        path = tmp_path / "k.qmp"
+        save_weights(path, tiny_net(h=4, seed=20))
+        self._with_header_field(path, 21, 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("offset", [17, 21], ids=["hidden_width", "num_tasks"])
+    def test_zero_size_architecture_is_shape_mismatch(self, tmp_path, offset):
+        path = tmp_path / "z.qmp"
+        save_weights(path, tiny_net(h=4, seed=21))
+        self._with_header_field(path, offset, 0)
+        with pytest.raises(ShapeMismatch, match="must be >= 1"):
+            load_weights(path)
