@@ -13,7 +13,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import network as nn
 from .config import RunConfig, _validate, load_config
-from .errors import ConfigError, FileFormatError, NonFiniteLoss, QuadGaitError, UnknownTask
+from .errors import ConfigError, FileFormatError, NonFiniteLoss, QuadGaitError, ShapeMismatch, UnknownTask
 from .gait import GAIT_NAMES, VelocityCommand
 
 EXIT_OK = 0
@@ -62,6 +62,16 @@ def cmd_collect(args) -> int:
         fh.write(report.summary() + "\n")
     print(f"collected {report.summary()} -> {out}")
     return EXIT_OK
+
+
+def _load_policy(path) -> nn.MtlNetwork:
+    """Weights that map the 34-entry observation to 12 joint targets."""
+    net = nn.load_weights(path)
+    dims = (net.arch.input_dim, net.arch.output_dim)
+    if dims != (ds.OBS_DIM, ds.ACT_DIM):
+        raise ShapeMismatch(f"{path}: network maps {dims[0]} inputs to {dims[1]} outputs, "
+                            f"a policy needs {ds.OBS_DIM} to {ds.ACT_DIM}")
+    return net
 
 
 def _load_split(data_dir: Path, gaits: list[str], split: str) -> dict[int, ds.Dataset]:
@@ -117,7 +127,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        net = nn.load_weights(args.model)
+        net = _load_policy(args.model)
         holdout = _load_split(Path(args.data), gaits, "holdout")
     except (FileNotFoundError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -130,7 +140,7 @@ def cmd_eval(args) -> int:
     rows = [(m.task, "holdout", m) for m in metrics]
     if args.baseline:
         try:
-            base = nn.load_weights(args.baseline)
+            base = _load_policy(args.baseline)
             base_metrics, _, _ = ev.evaluate_model(base, holdout, gaits)
         except (FileNotFoundError, FileFormatError, UnknownTask) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -157,7 +167,7 @@ def _rollout_common(args, scenario_events) -> int:
     net = None
     if not getattr(args, "expert", False):
         try:
-            net = nn.load_weights(args.model)
+            net = _load_policy(args.model)
         except (FileNotFoundError, FileFormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA

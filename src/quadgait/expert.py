@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, Unreachable
+from .errors import RankDeficient
 from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, swing_trajectory
-from .robot import RobotModel, SIDE_SIGN, cross3, leg_forward_kinematics, leg_inverse_kinematics, leg_jacobian
+from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, leg_kinematics, matvec
 from .simulation import SimState, quat_to_matrix, rpy_from_matrix
 
 log = logging.getLogger(__name__)
@@ -96,12 +96,12 @@ def allocate_stance_forces(
     row_scale = np.concatenate((np.ones(3), np.full(3, torque_weight)))
 
     def grasp_matrix(feet):
-        G = np.zeros((6, 3 * len(feet)))
-        for i, r in enumerate(feet):
-            G[:3, 3 * i : 3 * i + 3] = np.eye(3)
-            rx, ry, rz = r
-            G[3:, 3 * i : 3 * i + 3] = np.array([[0, -rz, ry], [rz, 0, -rx], [-ry, rx, 0]])
-        return G
+        # [I | [r_i]x] blocks side by side, one per foot
+        rx, ry, rz = np.asarray(feet, float).reshape(-1, 3).T
+        zero = np.zeros_like(rx)
+        skew = np.array([[zero, -rz, ry], [rz, zero, -rx], [-ry, rx, zero]])
+        eyes = np.concatenate((np.eye(3),) * rx.size, axis=1)
+        return np.concatenate((eyes, skew.transpose(0, 2, 1).reshape(3, -1)))
 
     def solve(feet):
         G = grasp_matrix(feet) * row_scale[:, None]
@@ -201,71 +201,71 @@ def expert_torques(
     R = quat_to_matrix(state.base_quat)
     leg_phase, in_stance = gait_phase(spec, t)
     f_des, tau_des, cmd_world = _desired_wrench(state, model, spec, cmd, gains, R)
+    stance, swing = np.flatnonzero(in_stance), np.flatnonzero(~in_stance)
+    q_legs, v_legs = state.q.reshape(4, 3), state.v.reshape(4, 3)
 
-    foot_body = [leg_forward_kinematics(model, leg, state.q[model.leg_slice(leg)]) for leg in range(4)]
-    foot_world = [state.base_pos + R @ p for p in foot_body]
-
-    stance_legs = [leg for leg in range(4) if in_stance[leg]]
-    forces = {}
-    if stance_legs:
+    foot_body, J = leg_kinematics(model, LEGS, q_legs)
+    foot_world = state.base_pos + matvec(R, foot_body)
+    if stance.size:
         try:
-            alloc = allocate_stance_forces(
+            forces = allocate_stance_forces(
                 (f_des, tau_des),
-                [foot_world[leg] - state.base_pos for leg in stance_legs],
+                foot_world[stance] - state.base_pos,
                 mu,
                 torque_weight=gains.torque_weight,
             )
         except RankDeficient:
-            alloc = np.zeros((len(stance_legs), 3))
-            alloc[:, 2] = max(f_des[2], 0.0) / len(stance_legs)
-        for i, leg in enumerate(stance_legs):
-            forces[leg] = alloc[i]
+            forces = np.zeros((stance.size, 3))
+            forces[:, 2] = max(f_des[2], 0.0) / stance.size
 
-    tau_raw = np.zeros(12)
+    lateral = np.zeros((4, 3))
+    lateral[:, 1] = SIDE_SIGN * model.l_abd
+    hip_world = state.base_pos + matvec(R, model.hip_offsets + lateral)
+    hip_vel_cmd = cmd_world + cross3((0.0, 0.0, cmd.wz), (hip_world - state.base_pos).T).T
+    ground = hip_world.copy()
+    ground[:, 2] = 0.0
+
+    # touchdown-referenced foothold: the foot stays planted while the
+    # hip travels, so its expected offset from the hip shrinks from
+    # +T_st/2 v at touchdown to -T_st/2 v at liftoff (stateless in t)
     t_stance = spec.duty * spec.period
+    lead = np.where(in_stance, 0.5 * t_stance - leg_phase * spec.period, 0.5 * t_stance)
+    hold_world = ground.copy()
+    hold_world[:, :2] += lead[:, None] * hip_vel_cmd[:, :2]
+    ik_legs, ik_world = LEGS, hold_world
+    if swing.size:
+        s = (leg_phase[swing] - spec.duty) / (1.0 - spec.duty)
+        target = raibert_target(hip_vel_cmd[swing], spec, hip_world[swing], state.base_lin_vel,
+                                gains.k_raibert)
+        start = ground[swing]
+        start[:, :2] -= 0.5 * t_stance * hip_vel_cmd[swing, :2]
+        ik_legs = np.concatenate((LEGS, swing))
+        ik_world = np.concatenate((hold_world, swing_trajectory(spec, start, target, s)))
+    q_ik = _safe_ik(model, ik_legs, matvec(R.T, ik_world - state.base_pos))
+    tau_hold = gains.kp_hold * (q_ik[:4] - q_legs) - gains.kd_hold * v_legs
+
+    tau_raw = np.empty((4, 3))
     w = gains.blend_frac
-    for leg in range(4):
-        sl = model.leg_slice(leg)
-        q_leg = state.q[sl]
-        v_leg = state.v[sl]
-        p = leg_phase[leg]
-        hip_body = model.hip_offsets[leg] + np.array([0.0, SIDE_SIGN[leg] * model.l_abd, 0.0])
-        hip_world = state.base_pos + R @ hip_body
-        hip_vel_cmd = cmd_world + cross3((0.0, 0.0, cmd.wz), hip_world - state.base_pos)
+    if stance.size:
+        # contact force ramps in after touchdown and out before
+        # liftoff so the torque stays continuous in phase
+        scale = np.ones(stance.size)
+        if w > 0.0 and spec.duty < 1.0:
+            scale[:] = [min(_smoothstep(p / w), _smoothstep((spec.duty - p) / w))
+                        for p in leg_phase[stance]]
+        push = matvec(J[stance].transpose(0, 2, 1), matvec(-R.T, forces))
+        tau_raw[stance] = scale[:, None] * push + tau_hold[stance]
+    if swing.size:
+        tau_swing = gains.kp_swing * (q_ik[4:] - q_legs[swing]) - gains.kd_swing * v_legs[swing]
+        # fade swing tracking in at liftoff and back out at touchdown
+        blend = np.ones(swing.size)
+        if w > 0.0:
+            blend[:] = [min(_smoothstep((p - spec.duty) / w), _smoothstep((1.0 - p) / w))
+                        for p in leg_phase[swing]]
+        blend = blend[:, None]
+        tau_raw[swing] = blend * tau_swing + (1.0 - blend) * tau_hold[swing]
 
-        # touchdown-referenced foothold: the foot stays planted while the
-        # hip travels, so its expected offset from the hip shrinks from
-        # +T_st/2 v at touchdown to -T_st/2 v at liftoff (stateless in t)
-        hold_world = np.array([hip_world[0], hip_world[1], 0.0])
-        if in_stance[leg]:
-            hold_world[:2] += (0.5 * t_stance - p * spec.period) * hip_vel_cmd[:2]
-        else:
-            hold_world[:2] += 0.5 * t_stance * hip_vel_cmd[:2]
-        q_hold = _safe_ik(model, leg, R.T @ (hold_world - state.base_pos))
-        tau_hold = gains.kp_hold * (q_hold - q_leg) - gains.kd_hold * v_leg
-
-        if in_stance[leg]:
-            J = leg_jacobian(model, leg, q_leg)
-            # contact force ramps in after touchdown and out before
-            # liftoff so the torque stays continuous in phase
-            scale = 1.0
-            if w > 0.0 and spec.duty < 1.0:
-                scale = min(_smoothstep(p / w), _smoothstep((spec.duty - p) / w))
-            tau_raw[sl] = scale * (J.T @ (-R.T @ forces[leg])) + tau_hold
-        else:
-            s = (p - spec.duty) / (1.0 - spec.duty)
-            target = raibert_target(hip_vel_cmd, spec, hip_world, state.base_lin_vel, gains.k_raibert)
-            start = np.array([hip_world[0], hip_world[1], 0.0])
-            start[:2] -= 0.5 * t_stance * hip_vel_cmd[:2]
-            p_ref_world = swing_trajectory(spec, start, target, s)
-            q_ref = _safe_ik(model, leg, R.T @ (p_ref_world - state.base_pos))
-            tau_swing = gains.kp_swing * (q_ref - q_leg) - gains.kd_swing * v_leg
-            # fade swing tracking in at liftoff and back out at touchdown
-            blend = 1.0
-            if w > 0.0:
-                blend = min(_smoothstep((p - spec.duty) / w), _smoothstep((1.0 - p) / w))
-            tau_raw[sl] = blend * tau_swing + (1.0 - blend) * tau_hold
-
+    tau_raw = tau_raw.ravel()
     tau = np.clip(tau_raw, -model.tau_max, model.tau_max)
     return ExpertAction(tau=tau, tau_raw=tau_raw, phase=float(np.mod(t / spec.period, 1.0)))
 
@@ -275,9 +275,10 @@ def _smoothstep(x: float) -> float:
     return x * x * (3.0 - 2.0 * x)
 
 
-def _safe_ik(model, leg, p_body):
-    try:
-        return leg_inverse_kinematics(model, leg, p_body)
-    except Unreachable:
+def _safe_ik(model, legs, p_body):
+    """IK rows (legs[i], p_body[i]); a target outside the workspace is
+    clamped to it, with one warning per clamped row."""
+    q, out = leg_inverse_kinematics_rows(model, legs, p_body)
+    for leg in legs[out]:
         log.warning("foot target out of workspace for leg %d, clamping", leg)
-        return leg_inverse_kinematics(model, leg, p_body, clamp=True)
+    return q

@@ -108,12 +108,16 @@ def swing_trajectory(
     x, y (and the ground-level component of z) follow a smoothstep blend
     between start and target; a sin arch of height swing_height rides on
     top, so endpoints are exact and the apex sits at swing_height above
-    the blended ground line.
+    the blended ground line.  With an array s, start and target hold one
+    row per entry of s.
     """
-    s = float(np.clip(s, 0.0, 1.0))
-    blend = 3.0 * s * s - 2.0 * s**3
-    point = np.asarray(start, float) + blend * (np.asarray(target, float) - np.asarray(start, float))
-    point[2] += spec.swing_height * np.sin(np.pi * s)
+    s = np.clip(s, 0.0, 1.0)
+    # the cubic is a Python float power per entry: numpy's array power
+    # rounds differently from it in the last bit
+    blend = np.reshape([3.0 * x * x - 2.0 * x**3 for x in np.ravel(s).tolist()], np.shape(s) + (1,))
+    start = np.asarray(start, float)
+    point = start + blend * (np.asarray(target, float) - start)
+    point[..., 2] += spec.swing_height * np.sin(np.pi * s)
     return point
 
 
@@ -128,9 +132,12 @@ def raibert_target(
 
     landing = hip ground projection + (T_stance/2) v_cmd + k_v (v - v_cmd),
     all in world xy; the command is expected already rotated into world.
+    hip_world and cmd_vel_world may hold one row per leg.
     """
+    cmd_vel_world = np.asarray(cmd_vel_world, dtype=float)
     t_stance = spec.duty * spec.period
-    landing = np.array([hip_world[0], hip_world[1], 0.0])
-    landing[:2] += 0.5 * t_stance * cmd_vel_world[:2]
-    landing[:2] += k_v * (base_vel[:2] - cmd_vel_world[:2])
+    landing = np.array(hip_world, dtype=float)
+    landing[..., 2] = 0.0
+    landing[..., :2] += 0.5 * t_stance * cmd_vel_world[..., :2]
+    landing[..., :2] += k_v * (base_vel[:2] - cmd_vel_world[..., :2])
     return landing

@@ -1,4 +1,4 @@
-"""Robot geometry and per-leg kinematics.
+"""Robot geometry and leg kinematics, batched over a leading leg axis.
 
 Joint order is leg-major: (FL, FR, RL, RR) x (abduction, thigh, knee),
 so leg i owns q[3*i : 3*i+3].  Each leg is an abduction roll joint about
@@ -30,6 +30,7 @@ class LegIndex:
 
 # +1 for left legs (abduction offset along +y), -1 for right legs.
 SIDE_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+LEGS = np.arange(4)
 
 
 @dataclass
@@ -137,42 +138,101 @@ def cross3(a, b) -> np.ndarray:
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
-def _rot_x(angle: float) -> np.ndarray:
+def _rot_x(angle: np.ndarray) -> np.ndarray:
+    """Rotations about x, one (3,3) matrix per entry of `angle`."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    R = np.zeros(np.shape(angle) + (3, 3))
+    R[..., 0, 0] = 1.0
+    R[..., 1, 1], R[..., 1, 2] = c, -s
+    R[..., 2, 1], R[..., 2, 2] = s, c
+    return R
 
 
-def leg_forward_kinematics(model: RobotModel, leg: int, q_leg: np.ndarray) -> np.ndarray:
-    """Foot position in the body frame for one leg.
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise A[i] @ x[i] over a leading axis, A and x broadcasting.
+
+    Each row is the same BLAS matrix-vector product that `A[i] @ x[i]`
+    runs, so the stack is bitwise equal to a Python loop of them; one
+    GEMM such as `x @ A.T` rounds differently.
+    """
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def leg_kinematics(model: RobotModel, legs, q_legs) -> tuple[np.ndarray, np.ndarray]:
+    """Foot positions in the body frame, shape (n, 3), and their analytic
+    Jacobians d(foot position)/d(q_leg), shape (n, 3, 3), for the rows
+    (legs[i], q_legs[i]).
 
     Chain: hip root offset, roll by q0 about x, lateral +-l_abd along y,
     thigh pitch q1 and knee pitch q2 about the rolled y axis.
     """
-    q0, q1, q2 = float(q_leg[0]), float(q_leg[1]), float(q_leg[2])
+    q0, q1, q2 = np.asarray(q_legs, dtype=float).reshape(-1, 3).T
     lt, lc = model.l_thigh, model.l_calf
-    # planar chain in the rolled x-z plane; q1 = 0 points straight down
-    x = -lt * np.sin(q1) - lc * np.sin(q1 + q2)
-    z = -lt * np.cos(q1) - lc * np.cos(q1 + q2)
-    local = np.array([x, SIDE_SIGN[leg] * model.l_abd, z])
-    return model.hip_offsets[leg] + _rot_x(q0) @ local
+    s1, c1 = np.sin(q1), np.cos(q1)
+    s12, c12 = np.sin(q1 + q2), np.cos(q1 + q2)
+    zero = np.zeros_like(q1)
+
+    # per leg, before the roll: the foot in the rolled x-z plane (q1 = 0
+    # points straight down) and its derivatives in q1 and q2
+    chain = np.array((
+        (-lt * s1 - lc * s12, SIDE_SIGN[legs] * model.l_abd, -lt * c1 - lc * c12),
+        (-lt * c1 - lc * c12, zero, lt * s1 + lc * s12),
+        (-lc * c12, zero, lc * s12),
+    )).transpose(2, 0, 1).copy()
+    rolled = matvec(_rot_x(q0)[:, None], chain)  # rows: foot from hip root, dp/dq1, dp/dq2
+    J = rolled.transpose(0, 2, 1).copy()
+    J[:, :, 0] = cross3((1.0, 0.0, 0.0), rolled[:, 0].T).T
+    return model.hip_offsets[legs] + rolled[:, 0], J
+
+
+def leg_forward_kinematics(model: RobotModel, leg: int, q_leg: np.ndarray) -> np.ndarray:
+    """Foot position in the body frame for one leg (see leg_kinematics)."""
+    return leg_kinematics(model, [leg], q_leg)[0][0]
 
 
 def leg_jacobian(model: RobotModel, leg: int, q_leg: np.ndarray) -> np.ndarray:
     """Analytic 3x3 Jacobian d(foot position)/d(q_leg), body frame."""
-    q0, q1, q2 = float(q_leg[0]), float(q_leg[1]), float(q_leg[2])
+    return leg_kinematics(model, [leg], q_leg)[1][0]
+
+
+def leg_inverse_kinematics_rows(
+    model: RobotModel, legs, p_body, eps: float = 1e-4
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic 3-DoF IK for the rows (legs[i], p_body[i]).
+
+    Returns the joint rows, shape (n, 3), and a per-row mask of targets
+    outside the workspace; those rows are solved for the target projected
+    to the nearest workspace boundary.
+    """
+    x, y, z = (np.asarray(p_body, dtype=float).reshape(-1, 3) - model.hip_offsets[legs]).T
     lt, lc = model.l_thigh, model.l_calf
-    s1, c1 = np.sin(q1), np.cos(q1)
-    s12, c12 = np.sin(q1 + q2), np.cos(q1 + q2)
-    rx = _rot_x(q0)
+    d = SIDE_SIGN[legs] * model.l_abd
 
-    local = np.array([-lt * s1 - lc * s12, SIDE_SIGN[leg] * model.l_abd, -lt * c1 - lc * c12])
-    p_rel = rx @ local  # foot relative to hip root
+    planar_sq = y * y + z * z - model.l_abd**2
+    low = planar_sq < eps * eps
+    planar_sq = np.where(low, eps * eps, planar_sq)
+    planar = np.sqrt(planar_sq)  # depth of the foot below the abduction axis
 
-    J = np.empty((3, 3))
-    J[:, 0] = cross3((1.0, 0.0, 0.0), p_rel)
-    J[:, 1] = rx @ np.array([-lt * c1 - lc * c12, 0.0, lt * s1 + lc * s12])
-    J[:, 2] = rx @ np.array([-lc * c12, 0.0, lc * s12])
-    return J
+    q0 = np.arctan2(z, y) - np.arctan2(-planar, d)
+
+    r_sq = x * x + planar_sq
+    r = np.sqrt(r_sq)
+    r_min, r_max = model.min_leg_radius, model.max_leg_radius
+    far = (r < r_min - 1e-12) | (r > r_max + 1e-12)
+    if far.any():
+        r_new = np.minimum(np.maximum(r, r_min + eps), r_max - eps)
+        scale = r_new / np.maximum(r, 1e-12)
+        x = np.where(far, x * scale, x)
+        planar = np.where(far, planar * scale, planar)
+        r_sq = np.where(far, r_new * r_new, r_sq)
+
+    cos_knee = (r_sq - lt * lt - lc * lc) / (2.0 * lt * lc)
+    q2 = -np.arccos(np.clip(cos_knee, -1.0, 1.0))
+    q1 = np.arctan2(-x, planar) - np.arctan2(lc * np.sin(q2), lt + lc * np.cos(q2))
+
+    # wrap q0 into (-pi, pi]
+    q0 = (q0 + np.pi) % (2.0 * np.pi) - np.pi
+    return np.stack((q0, q1, q2), -1), low | far
 
 
 def leg_inverse_kinematics(
@@ -189,37 +249,7 @@ def leg_inverse_kinematics(
     live.  With clamp=True an out-of-workspace target is projected to the
     nearest boundary instead of raising Unreachable.
     """
-    p_rel = np.asarray(p_body, dtype=float) - model.hip_offsets[leg]
-    x, y, z = p_rel
-    lt, lc = model.l_thigh, model.l_calf
-    d = SIDE_SIGN[leg] * model.l_abd
-
-    planar_sq = y * y + z * z - model.l_abd**2
-    if planar_sq < eps * eps:
-        if not clamp:
-            raise Unreachable(tuple(np.asarray(p_body, float)), model.max_leg_radius)
-        planar_sq = eps * eps
-    planar = np.sqrt(planar_sq)  # depth of the foot below the abduction axis
-
-    q0 = np.arctan2(z, y) - np.arctan2(-planar, d)
-
-    r_sq = x * x + planar_sq
-    r = np.sqrt(r_sq)
-    r_min, r_max = model.min_leg_radius, model.max_leg_radius
-    if r < r_min - 1e-12 or r > r_max + 1e-12:
-        if not clamp:
-            raise Unreachable(tuple(np.asarray(p_body, float)), r_max)
-        r_new = min(max(r, r_min + eps), r_max - eps)
-        scale = r_new / max(r, 1e-12)
-        x *= scale
-        planar *= scale
-        r_sq = r_new * r_new
-
-    cos_knee = (r_sq - lt * lt - lc * lc) / (2.0 * lt * lc)
-    q2 = -np.arccos(np.clip(cos_knee, -1.0, 1.0))
-    q1 = np.arctan2(-x, planar) - np.arctan2(lc * np.sin(q2), lt + lc * np.cos(q2))
-
-    # wrap q0 into (-pi, pi]
-    q0 = (q0 + np.pi) % (2.0 * np.pi) - np.pi
-    return np.array([q0, q1, q2])
-
+    q, out = leg_inverse_kinematics_rows(model, [leg], p_body, eps)
+    if out[0] and not clamp:
+        raise Unreachable(tuple(np.asarray(p_body, float)), model.max_leg_radius)
+    return q[0]

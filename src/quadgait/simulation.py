@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged
-from .robot import RobotModel, cross3, leg_forward_kinematics, leg_jacobian, _rot_x
+from .robot import LEGS, RobotModel, _rot_x, cross3, leg_kinematics, matvec
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -185,26 +185,28 @@ def step(
     R = quat_to_matrix(state.base_quat)
     tau = pd_torque(model, joint_target, state.q, state.v)
 
+    p_body, J = leg_kinematics(model, LEGS, state.q.reshape(4, 3))
+    p_world = state.base_pos + matvec(R, p_body)
+    v_world = state.base_lin_vel + matvec(
+        R, cross3(state.base_ang_vel, p_body.T).T + matvec(J, state.v.reshape(4, 3))
+    )
     foot_force = np.zeros((4, 3))
-    tau_ext = np.zeros(12)
-    torque_world = np.zeros(3)
     for leg in range(4):
-        sl = model.leg_slice(leg)
-        q_leg = state.q[sl]
-        p_body = leg_forward_kinematics(model, leg, q_leg)
-        J = leg_jacobian(model, leg, q_leg)
-        p_world = state.base_pos + R @ p_body
-        v_world = state.base_lin_vel + R @ (
-            cross3(state.base_ang_vel, p_body) + J @ state.v[sl]
-        )
-        force = _foot_contact_force(contact, p_world, v_world, dt)
+        force = _foot_contact_force(contact, p_world[leg], v_world[leg], dt)
         if force[2] > 0.0:
             foot_force[leg] = force
-            tau_ext[sl] = J.T @ (R.T @ force)
-            torque_world += cross3(p_world - state.base_pos, force)
+    loaded = np.flatnonzero(foot_force[:, 2] > 0.0)
+    f = foot_force[loaded]
+    tau_ext = np.zeros((4, 3))
+    tau_ext[loaded] = matvec(J[loaded].transpose(0, 2, 1), matvec(R.T, f))
+    # summed leg by leg from zero: a reduction would start from the first
+    # leg's term and keep a -0.0 that 0.0 + x turns into +0.0
+    torque_world = np.zeros(3)
+    for arm_x_force in cross3((p_world[loaded] - state.base_pos).T, f.T).T:
+        torque_world += arm_x_force
 
     # joint servo chains, fixed apparent rotor inertia
-    alpha = (tau + tau_ext) / model.rotor_inertia
+    alpha = (tau + tau_ext.ravel()) / model.rotor_inertia
     v_new = state.v + alpha * dt
     q_new = state.q + v_new * dt
     lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
@@ -216,12 +218,11 @@ def step(
     alpha[stopped] = (v_new[stopped] - state.v[stopped]) / dt
 
     # rotor momentum reaction on the base (world frame)
-    for leg in range(4):
-        sl = model.leg_slice(leg)
-        a = alpha[sl] * model.rotor_inertia
-        pitch_axis = _rot_x(state.q[sl][0]) @ np.array([0.0, 1.0, 0.0])
-        reaction_body = a[0] * np.array([1.0, 0.0, 0.0]) + (a[1] + a[2]) * pitch_axis
-        torque_world -= R @ reaction_body
+    a = (alpha * model.rotor_inertia).reshape(4, 3)
+    pitch_axis = matvec(_rot_x(state.q[0::3]), np.array([0.0, 1.0, 0.0]))
+    reaction_body = a[:, :1] * np.array([1.0, 0.0, 0.0]) + (a[:, 1] + a[:, 2])[:, None] * pitch_axis
+    for reaction_world in matvec(R, reaction_body):
+        torque_world -= reaction_world
 
     force_world = foot_force.sum(axis=0) + model.mass * GRAVITY
 
@@ -251,18 +252,9 @@ def step(
 
 
 def _check_valid(state: SimState):
-    for arr in (
-        state.base_pos,
-        state.base_quat,
-        state.base_lin_vel,
-        state.base_ang_vel,
-        state.q,
-        state.v,
-        state.foot_force,
-    ):
-        if not np.all(np.isfinite(arr)):
-            raise Diverged(state.time)
-    if np.linalg.norm(state.base_pos) > 100.0:
+    values = np.concatenate((state.base_pos, state.base_quat, state.base_lin_vel,
+                             state.base_ang_vel, state.q, state.v, state.foot_force.ravel()))
+    if not np.isfinite(values).all() or np.linalg.norm(state.base_pos) > 100.0:
         raise Diverged(state.time)
 
 
@@ -378,10 +370,10 @@ class RolloutLog:
         return np.asarray(self.rows)
 
     def write_csv(self, path):
-        data = self.as_array()
+        row_format = ",".join(["%.9g"] * len(ROLLOUT_CSV_COLUMNS)) + "\n"
         buf = io.StringIO()
         buf.write(",".join(ROLLOUT_CSV_COLUMNS) + "\n")
-        for row in data:
-            buf.write(",".join(format(x, ".9g") for x in row) + "\n")
+        for row in self.as_array():
+            buf.write(row_format % tuple(row.tolist()))
         with open(path, "w") as fh:
             fh.write(buf.getvalue())

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from quadgait import cli
-from quadgait.dataset import read_dataset
+from quadgait.dataset import NormStats, read_dataset
+from quadgait.network import ArchSpec, MtlNetwork, save_weights
 
 FAST_CONFIG = """
 data.gaits = trot,bound
@@ -178,6 +180,41 @@ class TestEval:
         rc = cli.main(["eval", "--config", str(cfg), "--model", str(tmp_path / "no.qmp"),
                        "--data", str(collected), "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def narrow_model(workspace):
+    """A valid QMP1 file whose network takes 10 inputs, not the 34 of an
+    observation."""
+    root, _ = workspace
+    path = root / "narrow.qmp"
+    arch = ArchSpec(input_dim=10, hidden_width=8, num_tasks=2)
+    save_weights(path, MtlNetwork(arch, NormStats(np.zeros(10), np.ones(10))))
+    return path
+
+
+class TestPolicyShape:
+    @pytest.mark.parametrize("command", ["eval", "eval_baseline", "rollout", "switch"])
+    def test_wrong_input_dim_is_one_line_data_error(self, workspace, collected, trained,
+                                                     narrow_model, tmp_path, capsys, command):
+        root, cfg = workspace
+        scn = tmp_path / "switch.txt"
+        scn.write_text("0.0 trot 0.0 0 0\n")
+        common = ["--config", str(cfg)]
+        argv = {
+            "eval": ["eval", *common, "--model", str(narrow_model), "--data", str(collected),
+                     "--out", str(tmp_path / "e")],
+            "eval_baseline": ["eval", *common, "--model", str(trained), "--baseline",
+                              str(narrow_model), "--data", str(collected),
+                              "--out", str(tmp_path / "e")],
+            "rollout": ["rollout", *common, "--model", str(narrow_model), "--duration", "0.1"],
+            "switch": ["switch", *common, "--model", str(narrow_model), "--scenario", str(scn),
+                       "--duration", "0.1"],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "10 inputs" in err[0]
 
 
 class TestRolloutAndSwitch:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quadgait import simulation
 from quadgait.errors import Diverged
 from quadgait.robot import leg_forward_kinematics
 from quadgait.simulation import (
@@ -151,6 +152,54 @@ def mechanical_energy(state, model, contact):
     return energy
 
 
+STATE_ARRAYS = ("base_pos", "base_quat", "base_lin_vel", "base_ang_vel", "q", "v", "foot_force")
+
+
+class TestDiverged:
+    """`step` checks the state it is given and the state it returns."""
+
+    @pytest.mark.parametrize("field", STATE_ARRAYS)
+    def test_nan_in_incoming_state(self, model, contact, field):
+        state = nominal_stance_state(model)
+        state.time = 0.5
+        getattr(state, field).flat[-1] = np.nan
+        with pytest.raises(Diverged) as exc:
+            step(state, model, contact, model.nominal_joint_pos, 1e-3)
+        assert exc.value.time == 0.5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", STATE_ARRAYS)
+    def test_nonfinite_new_state(self, model, contact, monkeypatch, field, value):
+        state = nominal_stance_state(model)
+        real = simulation.SimState
+
+        def poisoned(**fields):
+            new = real(**fields)
+            getattr(new, field).flat[0] = value
+            return new
+
+        monkeypatch.setattr(simulation, "SimState", poisoned)
+        with pytest.raises(Diverged) as exc:
+            step(state, model, contact, model.nominal_joint_pos, 1e-3)
+        assert exc.value.time == 1e-3
+
+    def test_runaway_base_position(self, model, contact):
+        target = model.nominal_joint_pos
+        far = airborne_state(model)
+        far.base_pos[0] = 100.0
+        with pytest.raises(Diverged) as exc:
+            step(far, model, contact, target, 1e-3)
+        assert exc.value.time == 0.0
+        near = airborne_state(model)
+        near.base_pos[0] = 99.0
+        step(near, model, contact, target, 1e-3)
+        # the returned state crosses |base_pos| = 100
+        near.base_lin_vel[0] = 2000.0
+        with pytest.raises(Diverged) as exc:
+            step(near, model, contact, target, 1e-3)
+        assert exc.value.time == 1e-3
+
+
 class TestEnergy:
     @pytest.mark.parametrize("axis", [0, 1], ids=["roll", "pitch"])
     def test_passive_drop_onto_joint_stops_gains_no_energy(self, model, contact, axis):
@@ -232,3 +281,19 @@ class TestRolloutLog:
         assert lines[0].split(",") == ROLLOUT_CSV_COLUMNS
         assert len(lines) == 11
         assert len(lines[1].split(",")) == len(ROLLOUT_CSV_COLUMNS)
+
+    def test_csv_bytes_match_per_value_format(self, model, tmp_path):
+        state = nominal_stance_state(model)
+        state.base_pos[:] = (-0.0, 1e-300, np.nan)
+        state.v[:4] = (np.inf, -np.inf, 5e-324, -1.5e308)
+        state.q[0] = 0.1 + 0.2
+        log = RolloutLog()
+        log.append(state, model.nominal_joint_pos, np.array([True, False, True, False]))
+        state.time = 1e-3
+        log.append(state, -model.nominal_joint_pos, np.array([False, True, False, True]))
+        path = tmp_path / "rollout.csv"
+        log.write_csv(path)
+        lines = [",".join(ROLLOUT_CSV_COLUMNS)]
+        lines += [",".join(format(x, ".9g") for x in row) for row in log.as_array()]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        assert "-0," in path.read_text() and "nan" in path.read_text()
