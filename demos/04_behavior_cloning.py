@@ -20,8 +20,8 @@ from quadgait.network import ArchSpec, TrainConfig, train
 GAITS = ["trot", "bound"]
 
 
-# collect() runs its cells in worker processes, which import this
-# module; the guard keeps them from running the demo again
+# everything here runs in this process (collect() included); the guard
+# only keeps an import of this module from running the demo
 def main():
     model = RobotModel()
     contact = ContactParams()

@@ -49,12 +49,8 @@ def cmd_collect(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     plan = cfg.plan(gaits)
-    try:
-        train, holdout, report = ds.collect(plan, cfg.robot(), cfg.contact(), cfg["sim.dt"],
-                                            cfg.expert_gains())
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    train, holdout, report = ds.collect(plan, cfg.robot(), cfg.contact(), cfg["sim.dt"],
+                                        cfg.expert_gains())
     for split, table in (("train", train), ("holdout", holdout)):
         for name, data in table.items():
             ds.write_dataset(out / f"{name}_{split}.qgd", data)

@@ -10,16 +10,21 @@ the PD controller reproduces the expert torque exactly (clamp included).
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import Diverged, EmptyDataset, FileFormatError, TruncatedFile, VersionMismatch
+from .errors import (
+    CollectionFailed,
+    Diverged,
+    EmptyDataset,
+    FileFormatError,
+    TruncatedFile,
+    VersionMismatch,
+)
 from .expert import ExpertGains, expert_torques
 from .gait import GaitSpec, VelocityCommand
 from .robot import RobotModel
@@ -45,9 +50,10 @@ CONTACTS = slice(30, 34)
 
 
 def build_observation(imu, state: SimState, flags: np.ndarray) -> np.ndarray:
-    """Concatenate the proprioceptive signals into the 34-entry vector."""
+    """Concatenate the proprioceptive signals into the 34-entry vector
+    (one per robot for a batch)."""
     return np.concatenate(
-        (imu.ang_vel, imu.lin_acc, state.q, state.v, flags.astype(float))
+        (imu.ang_vel, imu.lin_acc, state.q, state.v, flags.astype(float)), axis=-1
     )
 
 
@@ -90,11 +96,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.task_id)
-
-    def for_task(self, task: int) -> "Dataset":
-        mask = self.task_id == task
-        return Dataset(self.task_names, self.task_id[mask], self.obs[mask], self.act[mask],
-                       self.sample_rate_hz)
 
     @staticmethod
     def from_records(task_names, task_id, obs, act, sample_rate_hz=1000.0) -> "Dataset":
@@ -184,6 +185,82 @@ def expert_target(model, contact, spec, cmd, gains, state) -> tuple[np.ndarray, 
     return inverse_pd_target(tau, state.q, state.v, model.kp, model.kd), tau
 
 
+def _run_experts(model, contact, robots, dt, gains, plan):
+    """Expert runs of `robots`, (spec, cmd, n_settle, n_samples, rng)
+    each, as one batch in lockstep on `simulate`, with one expert call
+    per gait spec and tick; each robot's run is bitwise its lone run (see
+    run_expert_trajectory).  Returns per robot (obs, act, clamped), or
+    (None, time, reason) if it fell or diverged."""
+    gains = gains or ExpertGains()
+    specs, cmds, n_settle, n_samples, rngs = zip(*robots)
+    first: dict[int, int] = {}
+    gait = np.array([first.setdefault(id(spec), k) for k, spec in enumerate(specs)])
+    cmds = np.array([cmd.as_tuple() for cmd in cmds])
+    n_settle, n_samples = np.array(n_settle), np.array(n_samples)
+    rngs = [rng if plan is not None else None for rng in rngs]
+    noisy = np.array([rng is not None and plan.action_noise > 0 for rng in rngs])
+    n = len(robots)
+    obs = np.empty((n, n_samples.max(), OBS_DIM))
+    act = np.empty((n, n_samples.max(), ACT_DIM))
+    clamped = np.zeros(n, int)
+    noise = np.zeros((n, 12))
+    push_every = int(round((plan.push_interval if plan else 0.4) / dt)) or 1
+    if plan is not None and plan.action_noise_tau > 0:
+        decay = np.exp(-dt / plan.action_noise_tau)
+        spread = np.sqrt(1.0 - decay * decay)
+    else:
+        decay, spread = 0.0, 1.0
+    states = [nominal_stance_state(model, contact=contact) for _ in robots]
+    for state, rng in zip(states, rngs):
+        if rng is not None and plan.init_jitter > 0:
+            state.base_pos[:2] += plan.init_jitter * rng.standard_normal(2)
+            state.base_lin_vel[:2] += plan.init_jitter * rng.standard_normal(2)
+            state.q += 0.5 * plan.init_jitter * rng.standard_normal(12)
+    blocks_of: dict[int, list] = {}  # gait blocks of the live batch, by its size
+
+    def push(i, live, state):
+        if i == 0 or i % push_every or all(rngs[j] is None for j in live):
+            return state
+        state = state.copy()
+        for k, j in enumerate(live):
+            if rngs[j] is not None:
+                state.base_lin_vel[k, :2] += plan.push_vel * rngs[j].standard_normal(2)
+                state.base_ang_vel[k] += plan.push_ang_vel * rngs[j].standard_normal(3)
+        return state
+
+    def control(i, live, prev, state):
+        if len(live) not in blocks_of:
+            blocks_of[len(live)] = [(specs[g], np.flatnonzero(gait[live] == g))
+                                    for g in dict.fromkeys(gait[live].tolist())]
+        state.rotation(), state.leg_kinematics(model)  # once: `step` and the blocks read them
+        tau = np.empty((len(live), ACT_DIM))
+        for spec, rows in blocks_of[len(live)]:
+            pick = rows[0] if len(rows) == 1 else rows  # one robot runs faster without the axis
+            block = state.rows(pick)
+            tau[rows] = expert_torques(block, model, spec, cmds[live[pick]], block.time, gains,
+                                       contact.mu).tau_raw
+        target = inverse_pd_target(tau, state.q, state.v, model.kp, model.kd)
+        k = i - n_settle[live]
+        rec = k >= 0
+        if rec.any():
+            rows = build_observation(read_imu(prev, state, dt), state, contact_flags(state, contact))
+            obs[live[rec], k[rec]] = rows[rec]
+            act[live[rec], k[rec]] = target[rec]
+            clamped[live[rec]] += np.any(np.abs(tau[rec]) > model.tau_max, axis=1)
+        wobble = noisy[live]
+        if wobble.any():
+            j = live[wobble]
+            draws = np.array([rngs[r].standard_normal(12) for r in j])
+            noise[j] = decay * noise[j] + plan.action_noise * spread * draws
+            target[wobble] = target[wobble] + noise[j]
+        return target
+
+    _, _, falls = simulate(model, contact, SimState.stack(states), n_settle + n_samples, dt, control,
+                           disturb=push)
+    return [(obs[j, : n_samples[j]], act[j, : n_samples[j]], int(clamped[j])) if fall is None
+            else (None, *fall) for j, fall in enumerate(falls)]
+
+
 def run_expert_trajectory(
     model: RobotModel,
     contact: ContactParams,
@@ -196,8 +273,8 @@ def run_expert_trajectory(
     rng: np.random.Generator | None = None,
     plan: CollectionPlan | None = None,
 ):
-    """Closed-loop expert run on the `simulate` kernel; returns (obs,
-    act, clamped_count).
+    """Closed-loop expert run of one robot on the `simulate` kernel;
+    returns (obs, act, clamped_count).
 
     The expert torque is converted to a position target (inverse PD on
     the raw torque) and fed back through the simulator's PD controller,
@@ -215,54 +292,11 @@ def run_expert_trajectory(
     Raises Diverged, with the time and the reason, as soon as the robot
     leaves the survival band, so a fall never becomes a demonstration.
     """
-    gains = gains or ExpertGains()
-    state = nominal_stance_state(model, contact=contact)
-    disturbed = rng is not None and plan is not None
-    if disturbed and plan.init_jitter > 0:
-        state.base_pos[:2] += plan.init_jitter * rng.standard_normal(2)
-        state.base_lin_vel[:2] += plan.init_jitter * rng.standard_normal(2)
-        state.q += 0.5 * plan.init_jitter * rng.standard_normal(12)
-    n_settle = int(round(settle_time / dt))
-    push_every = int(round((plan.push_interval if plan else 0.4) / dt)) or 1
-    obs_rows = np.empty((n_samples, OBS_DIM))
-    act_rows = np.empty((n_samples, ACT_DIM))
-    clamped = 0
-    noise = np.zeros(12)
-    if plan is not None and plan.action_noise_tau > 0:
-        decay = np.exp(-dt / plan.action_noise_tau)
-        spread = np.sqrt(1.0 - decay * decay)
-    else:
-        decay, spread = 0.0, 1.0
-
-    def push(i, state):
-        if i == 0 or i % push_every:
-            return state
-        state = state.copy()
-        state.base_lin_vel[:2] += plan.push_vel * rng.standard_normal(2)
-        state.base_ang_vel += plan.push_ang_vel * rng.standard_normal(3)
-        return state
-
-    def control(i, prev, state):
-        nonlocal clamped, noise
-        target, tau = expert_target(model, contact, spec, cmd, gains, state)
-        k = i - n_settle
-        if k >= 0:
-            imu = read_imu(prev, state, dt)
-            flags = contact_flags(state, contact)
-            obs_rows[k] = build_observation(imu, state, flags)
-            act_rows[k] = target
-            if np.any(np.abs(tau) > model.tau_max):
-                clamped += 1
-        if disturbed and plan.action_noise > 0:
-            noise = decay * noise + plan.action_noise * spread * rng.standard_normal(12)
-            return target + noise
-        return target
-
-    _, _, fall = simulate(model, contact, state, n_settle + n_samples, dt, control,
-                          disturb=push if disturbed else None)
-    if fall is not None:
-        raise Diverged(*fall)
-    return obs_rows, act_rows, clamped
+    robot = (spec, cmd, int(round(settle_time / dt)), n_samples, rng)
+    result = _run_experts(model, contact, [robot], dt, gains, plan)[0]
+    if result[0] is None:
+        raise Diverged(*result[1:])
+    return result
 
 
 def expert_gate_check(
@@ -277,34 +311,12 @@ def expert_gate_check(
     the survival band through a zero-command closed-loop run of this gait
     on the `simulate` kernel, the run an expert `closed_loop_rollout`
     makes."""
-    gains = gains or ExpertGains()
-    cmd = VelocityCommand(0.0, 0.0, 0.0)
-
-    def control(i, prev, state):
-        return expert_target(model, contact, spec, cmd, gains, state)[0]
-
-    state = nominal_stance_state(model, contact=contact)
-    _, _, fall = simulate(model, contact, state, int(round(duration / dt)), dt, control)
-    return fall is None
+    return _run_experts(model, contact, [_gate(spec, duration, dt)], dt, gains, None)[0][0] is not None
 
 
-def _run_gate(job) -> bool:
-    """One gait's competence gate: True if the expert passes it."""
-    model, contact, spec, gains = job
-    return expert_gate_check(model, contact, spec, gains=gains)
-
-
-def _run_cell(job):
-    """One collection cell: (obs, act, clamped), or (None, time, reason)
-    for a cell whose robot fell or diverged."""
-    model, contact, spec, cmd, dt, gains, plan, cell_seed = job
-    try:
-        return run_expert_trajectory(
-            model, contact, spec, cmd, plan.settle_time, plan.samples_per_traj,
-            dt, gains, rng=np.random.default_rng(cell_seed), plan=plan,
-        )
-    except Diverged as exc:
-        return None, exc.time, exc.reason
+def _gate(spec: GaitSpec, duration: float, dt: float):
+    """The gate as a robot of `_run_experts`: zero command, no samples."""
+    return (spec, VelocityCommand(0.0, 0.0, 0.0), int(round(duration / dt)), 0, None)
 
 
 def usable_cpus() -> int:
@@ -326,26 +338,14 @@ def collect(
     Returns (train, holdout, report) where train and holdout map gait
     name -> single-task Dataset.  Cells that diverge or fall are
     discarded and listed in the report; more than 10% of them aborts the
-    campaign.  Every gait must first pass `expert_gate_check`; the first
-    gait in plan order that fails it raises RuntimeError.
-
-    The gates and the cells are independent (each cell has its own seed
-    sequence), so they share one pool of one process per usable CPU,
-    gates first; the result is the same for any worker count.  A failed
-    gate cancels the cells still queued, and the cells already running
-    finish before the error is raised.  The workers are spawned, so a
-    script that calls this must guard its entry point with
-    `if __name__ == "__main__":`.  On a single usable CPU the gates and
-    then the cells run in this process.
+    campaign with CollectionFailed.  Every gait must also pass
+    `expert_gate_check`; if one fails, CollectionFailed names the first
+    such gait in plan order.  The gates and the cells run in this
+    process as one lockstep batch (see `_run_experts`), each cell on its
+    own seed sequence.
     """
     plan.validate()
     gains = gains or ExpertGains()
-
-    def check_gates(passed):
-        for spec, ok in zip(plan.gaits, passed):
-            if not ok:
-                raise RuntimeError(f"expert failed its competence gate for gait '{spec.name}'")
-
     train_cmds = plan.training_commands()
     cells = []
     for split_tag, (split, cmds) in enumerate(
@@ -355,27 +355,17 @@ def collect(
             for cmd_idx, cmd in enumerate(cmds):
                 cell_seed = np.random.SeedSequence([plan.seed, split_tag, gait_idx, cmd_idx])
                 cells.append((split, spec, cmd, cell_seed))
-    gate_jobs = [(model, contact, spec, gains) for spec in plan.gaits]
-    jobs = [(model, contact, spec, cmd, dt, gains, plan, seed) for _, spec, cmd, seed in cells]
-
-    workers = min(usable_cpus(), len(jobs) + len(gate_jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            gates = [pool.submit(_run_gate, job) for job in gate_jobs]
-            futures = [pool.submit(_run_cell, job) for job in jobs]
-            try:
-                check_gates(gate.result() for gate in gates)
-            except RuntimeError:
-                pool.shutdown(cancel_futures=True)
-                raise
-            results = [future.result() for future in futures]
-    else:
-        check_gates(_run_gate(job) for job in gate_jobs)
-        results = [_run_cell(job) for job in jobs]
+    robots = [_gate(spec, 2.0, dt) for spec in plan.gaits]
+    robots += [(spec, cmd, int(round(plan.settle_time / dt)), plan.samples_per_traj,
+                np.random.default_rng(seed)) for _, spec, cmd, seed in cells]
+    results = _run_experts(model, contact, robots, dt, gains, plan)
+    for spec, gate in zip(plan.gaits, results):
+        if gate[0] is None:
+            raise CollectionFailed(f"expert failed its competence gate for gait '{spec.name}'")
 
     report = CollectionReport()
     parts: dict[tuple[str, str], tuple[list, list]] = {}
-    for (split, spec, cmd, _), result in zip(cells, results):
+    for (split, spec, cmd, _), result in zip(cells, results[len(plan.gaits):]):
         report.cells_attempted += 1
         if result[0] is None:
             _, time, reason = result
@@ -397,7 +387,7 @@ def collect(
             [name], np.zeros(len(obs), np.uint32), obs, np.concatenate(act_parts), 1.0 / dt,
         )
     if report.cells_attempted and report.cells_diverged > 0.1 * report.cells_attempted:
-        raise RuntimeError(f"collection failed: {report.summary()}")
+        raise CollectionFailed(f"collection failed: {report.summary()}")
     return train, holdout, report
 
 
@@ -451,27 +441,3 @@ def read_dataset(path) -> Dataset:
     records = np.frombuffer(body, _RECORD, count=count, offset=off)
     return Dataset(names, records["task_id"].astype(np.uint32), records["obs"].copy(),
                    records["act"].copy(), float(rate))
-
-
-def export_csv(path, dataset: Dataset):
-    """CSV mirror of the record table, header row included."""
-    header = ["task_id"] + [f"obs_{i}" for i in range(OBS_DIM)] + [f"act_{i}" for i in range(ACT_DIM)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(dataset)):
-            row = [str(int(dataset.task_id[i]))]
-            row += [format(float(x), ".9g") for x in dataset.obs[i]]
-            row += [format(float(x), ".9g") for x in dataset.act[i]]
-            fh.write(",".join(row) + "\n")
-
-
-def import_csv(path, task_names, sample_rate_hz=1000.0) -> Dataset:
-    """Inverse of export_csv; hook for externally logged data."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    data = np.atleast_2d(data)
-    if data.shape[1] != 1 + OBS_DIM + ACT_DIM:
-        raise ValueError(f"{path}: expected {1 + OBS_DIM + ACT_DIM} columns")
-    return Dataset.from_records(
-        task_names, data[:, 0].astype(np.uint32), data[:, 1 : 1 + OBS_DIM],
-        data[:, 1 + OBS_DIM :], sample_rate_hz,
-    )

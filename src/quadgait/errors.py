@@ -28,6 +28,11 @@ class Diverged(QuadGaitError):
         super().__init__(f"simulation diverged at t={time:.4f} s: {reason}")
 
 
+class CollectionFailed(QuadGaitError, RuntimeError):
+    """A collection campaign failed: the expert failed a gait's
+    competence gate, or more than 10% of the cells fell."""
+
+
 class EmptyDataset(QuadGaitError):
     """Operation requires at least one (or two) records."""
 

@@ -174,7 +174,7 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
         n_ticks += 1
     track_vx, track_vy, heights = [], [], []
 
-    def control(i, prev, state):
+    def control(i, live, prev, state):
         if net is None:
             target = expert_target(model, contact, spec, cmd, gains, state)[0]
             flags = contact_flags(state, contact) if log_target is not None else None
@@ -185,15 +185,15 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
             log_target.append(state, target, flags)
         return target
 
-    def track(state):
+    def track(live, state):
         if state.time - start_time > transient:
             vel_body = quat_to_matrix(state.base_quat).T @ state.base_lin_vel
             track_vx.append(abs(vel_body[0] - cmd.vx))
             track_vy.append(abs(vel_body[1] - cmd.vy))
             heights.append(state.base_pos[2])
 
-    prev, state, fall = simulate(model, contact, state, n_ticks, dt, control, prev=prev,
-                                 on_step=track)
+    [prev], [state], [fall] = simulate(model, contact, state, n_ticks, dt, control, prev=prev,
+                                       on_step=track)
     summary = RolloutSummary(
         survived=fall is None,
         survival_time=duration if fall is None else fall[0] - start_time,

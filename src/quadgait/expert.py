@@ -8,7 +8,8 @@ projected into its friction cone, and the per-leg torque follows from
 the Jacobian transpose.  Swing legs: IK tracking of a smoothstep/sin
 swing trajectory toward a Raibert landing point.
 
-The expert is stateless: torques depend only on (state, t, cmd, spec).
+The expert is stateless: torques depend only on (state, t, cmd, spec),
+so one call serves a batch of robots that share the gait and t.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import numpy as np
 
 from .errors import RankDeficient
 from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, swing_trajectory
-from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, leg_kinematics, matvec
-from .simulation import SimState, quat_to_matrix, rpy_from_matrix
+from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, matvec
+from .simulation import SimState, rpy_from_matrix
 
 log = logging.getLogger(__name__)
+_EYES = np.tile(np.eye(3), 4)  # [I I I I], the force rows of a grasp matrix
+# [r]x = (0, -rz, ry; rz, 0, -rx; -ry, rx, 0) as entries of (rx, ry, rz, 0)
+_SKEW, _SKEW_SIGN = np.array([3, 2, 1, 2, 3, 0, 1, 0, 3]), np.array([1.0, -1, 1, 1, 1, -1, -1, 1, 1])
 
 
 @dataclass
@@ -86,64 +90,62 @@ def allocate_stance_forces(
     With residual_tol set, an unachievable wrench component larger than
     the tolerance raises RankDeficient (e.g. torque about the line
     through a two-foot stance); by default the best-fit solution is
-    returned, which is what the gait expert wants mid-trot.
+    returned, which is what the gait expert wants mid-trot.  A batch
+    passes feet (n, ns, 3) and wrench parts (n, 3).
     """
-    ns = len(foot_positions)
+    feet = np.asarray(foot_positions, float).reshape(np.shape(desired_wrench[0])[:-1] + (-1, 3))
+    ns = feet.shape[-2]
     if ns < 1:
         raise ValueError("need at least one stance foot")
-    f_des, tau_des = desired_wrench
-    w = np.concatenate((np.asarray(f_des, float), np.asarray(tau_des, float)))
-    row_scale = np.concatenate((np.ones(3), np.full(3, torque_weight)))
+    w = np.concatenate([np.asarray(part, float) for part in desired_wrench], axis=-1)
+    row_scale = np.array([1.0, 1.0, 1.0, torque_weight, torque_weight, torque_weight])
 
-    def grasp_matrix(feet):
-        # [I | [r_i]x] blocks side by side, one per foot
-        rx, ry, rz = np.asarray(feet, float).reshape(-1, 3).T
-        zero = np.zeros_like(rx)
-        skew = np.array([[zero, -rz, ry], [rz, zero, -rx], [-ry, rx, zero]])
-        eyes = np.concatenate((np.eye(3),) * rx.size, axis=1)
-        return np.concatenate((eyes, skew.transpose(0, 2, 1).reshape(3, -1)))
-
-    def solve(feet):
-        G = grasp_matrix(feet) * row_scale[:, None]
+    def solve(w, feet):
+        # [I | [r_i]x] blocks side by side, one per foot, C-ordered
+        k = feet.shape[-2]
+        G = np.empty(feet.shape[:-2] + (6, 3 * k))
+        G[..., :3, :] = _EYES[:, : 3 * k]
+        skew = np.take(np.concatenate((feet, np.zeros(feet.shape[:-1] + (1,))), -1), _SKEW, -1) * _SKEW_SIGN
+        G[..., 3:, :] = skew.reshape(feet.shape + (3,)).swapaxes(-3, -2).reshape(feet.shape[:-2] + (3, 3 * k))
+        G *= row_scale[:, None]
+        GT = G.swapaxes(-1, -2)
         ww = w * row_scale
-        A = G @ G.T + lam * np.eye(6)
-        y = np.linalg.solve(A, ww)
-        F = G.T @ y
+        A = G @ GT + lam * np.eye(6)
+        F = matvec(GT, np.linalg.solve(A, ww[..., None])[..., 0])
         # refinement passes remove the Tikhonov bias on the achievable part
         for _ in range(2):
-            F = F + G.T @ np.linalg.solve(A, ww - G @ F)
-        return F.reshape(len(feet), 3), G / row_scale[:, None]
+            F = F + matvec(GT, np.linalg.solve(A, (ww - matvec(G, F))[..., None])[..., 0])
+        return F.reshape(feet.shape), G
 
-    forces, G = solve(foot_positions)
+    forces, G = solve(w, feet)
 
     if residual_tol is not None:
-        residual = w - G @ forces.reshape(-1)
+        residual = w - matvec(G / row_scale[:, None], forces.reshape(w.shape[:-1] + (-1,)))
         if np.max(np.abs(residual)) > residual_tol:
             raise RankDeficient(
                 f"wrench residual {np.max(np.abs(residual)):.3e} exceeds {residual_tol:.1e}"
             )
 
-    if not project:
-        return forces
+    if project:
+        # active-set pass: feet asked to pull are dropped and the rest
+        # re-solved, which keeps the achieved wrench honest before cone
+        # projection
+        rows, rows_w, rows_feet = forces.reshape(-1, ns, 3), w.reshape(-1, 6), feet.reshape(-1, ns, 3)
+        pulling = rows[..., 2] < 0.0
+        for r in np.flatnonzero(pulling.any(axis=1) & ~pulling.all(axis=1)):
+            keep = np.flatnonzero(~pulling[r])
+            rows[r] = 0.0
+            rows[r, keep] = solve(rows_w[r], rows_feet[r, keep])[0]
 
-    # active-set pass: feet asked to pull are dropped and the rest re-solved,
-    # which keeps the achieved wrench honest before cone projection
-    pulling = forces[:, 2] < 0.0
-    if np.any(pulling) and not np.all(pulling):
-        keep = [i for i in range(ns) if not pulling[i]]
-        sub, _ = solve([foot_positions[i] for i in keep])
-        forces = np.zeros((ns, 3))
-        for j, i in enumerate(keep):
-            forces[i] = sub[j]
-
-    for i in range(ns):
-        fz = max(forces[i, 2], 0.0)
-        forces[i, 2] = fz
-        fxy = np.hypot(forces[i, 0], forces[i, 1])
+        fz = forces[..., 2]
+        fz = np.where(fz < 0.0, 0.0, fz)  # max(fz, 0.0), -0.0 kept
+        forces[..., 2] = fz
+        fxy = np.hypot(forces[..., 0], forces[..., 1])
         limit = mu * fz
-        if fxy > limit:
-            scale = 0.0 if fxy < 1e-12 else limit / fxy
-            forces[i, :2] *= scale
+        over = fxy > limit
+        if over.any():
+            fxy, limit = fxy[over], limit[over]
+            forces[over, :2] *= np.where(fxy < 1e-12, 0.0, limit / fxy)[:, None]
     return forces
 
 
@@ -151,39 +153,41 @@ def _desired_wrench(
     state: SimState,
     model: RobotModel,
     spec: GaitSpec,
-    cmd: VelocityCommand,
+    cmd: tuple,
     gains: ExpertGains,
     R: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base wrench PD; returns (f_world, tau_world, cmd_vel_world).
+    """Base wrench PD for a batch; returns (f_world, tau_world,
+    cmd_vel_world), one row per robot.  `cmd` is (vx, vy, wz), each a
+    float or one entry per robot.
 
     The vertical feedforward balances momentum over a whole period: a
     gait whose legs all swing together (pronk) is unsupported for
     1 - duty of it, so its stance must carry m g / duty.
     """
+    vx, vy, wz = cmd
     roll, pitch, yaw = rpy_from_matrix(R)
     cos_y, sin_y = np.cos(yaw), np.sin(yaw)
-    cmd_world = np.array([cmd.vx * cos_y - cmd.vy * sin_y, cmd.vx * sin_y + cmd.vy * cos_y, 0.0])
+    cmd_world = np.zeros(np.shape(yaw) + (3,))
+    cmd_world[..., 0] = vx * cos_y - vy * sin_y
+    cmd_world[..., 1] = vx * sin_y + vy * cos_y
 
-    f = np.zeros(3)
-    f[:2] = gains.kv_linear * (cmd_world[:2] - state.base_lin_vel[:2])
+    lin_vel, omega = state.base_lin_vel, state.base_ang_vel
+    f = np.empty(np.shape(yaw) + (3,))
+    f[..., :2] = gains.kv_linear * (cmd_world[..., :2] - lin_vel[..., :2])
     support = spec.duty if np.ptp(spec.phase_offset) == 0.0 else 1.0
-    f[2] = (
+    f[..., 2] = (
         model.mass * 9.81 / support
-        + gains.kp_height * (model.nominal_base_height - state.base_pos[2])
-        - gains.kd_height * state.base_lin_vel[2]
+        + gains.kp_height * (model.nominal_base_height - state.base_pos[..., 2])
+        - gains.kd_height * lin_vel[..., 2]
     )
 
-    omega_world = R @ state.base_ang_vel
-    tau_body = np.array(
-        [
-            -gains.kp_attitude * roll - gains.kd_attitude * state.base_ang_vel[0],
-            -gains.kp_attitude * pitch - gains.kd_attitude * state.base_ang_vel[1],
-            0.0,
-        ]
-    )
-    tau = R @ tau_body
-    tau[2] += gains.kd_attitude * (cmd.wz - omega_world[2])
+    omega_world = matvec(R, omega)
+    tau_body = np.zeros(np.shape(yaw) + (3,))
+    tau_body[..., 0] = -gains.kp_attitude * roll - gains.kd_attitude * omega[..., 0]
+    tau_body[..., 1] = -gains.kp_attitude * pitch - gains.kd_attitude * omega[..., 1]
+    tau = matvec(R, tau_body)
+    tau[..., 2] += gains.kd_attitude * (wz - omega_world[..., 2])
     return f, tau, cmd_world
 
 
@@ -191,39 +195,43 @@ def expert_torques(
     state: SimState,
     model: RobotModel,
     spec: GaitSpec,
-    cmd: VelocityCommand,
+    cmd,
     t: float,
     gains: ExpertGains | None = None,
     mu: float = 0.7,
 ) -> ExpertAction:
-    """Expert joint torques at time t (deterministic, stateless)."""
-    gains = gains or ExpertGains()
-    R = quat_to_matrix(state.base_quat)
-    leg_phase, in_stance = gait_phase(spec, t)
-    f_des, tau_des, cmd_world = _desired_wrench(state, model, spec, cmd, gains, R)
-    stance, swing = np.flatnonzero(in_stance), np.flatnonzero(~in_stance)
-    q_legs, v_legs = state.q.reshape(4, 3), state.v.reshape(4, 3)
+    """Expert joint torques at time t (deterministic, stateless).
 
-    foot_body, J = leg_kinematics(model, LEGS, q_legs)
-    foot_world = state.base_pos + matvec(R, foot_body)
+    `state` holds one robot or a batch that shares the gait and t; `cmd`
+    is one VelocityCommand, or an (n, 3) array of (vx, vy, wz) rows, one
+    per robot.  A batch gets (n, 12) torques.
+    """
+    gains = gains or ExpertGains()
+    batch = state.q.shape[:-1]
+    vx_vy_wz = cmd.as_tuple() if isinstance(cmd, VelocityCommand) else np.asarray(cmd, float).T
+    wz = vx_vy_wz[2]
+    R = state.rotation()
+    RT = R.swapaxes(-1, -2)  # views keep the layout of R.T, which selects the BLAS kernel
+    R_legs = R[..., None, :, :]
+    leg_phase, in_stance = gait_phase(spec, t)
+    f_des, tau_des, cmd_world = _desired_wrench(state, model, spec, vx_vy_wz, gains, R)
+    stance, swing = np.flatnonzero(in_stance), np.flatnonzero(~in_stance)
+    q_legs, v_legs = state.q.reshape(batch + (4, 3)), state.v.reshape(batch + (4, 3))
+    base = state.base_pos[..., None, :]
+
+    foot_body, J = state.leg_kinematics(model)
     if stance.size:
-        try:
-            forces = allocate_stance_forces(
-                (f_des, tau_des),
-                foot_world[stance] - state.base_pos,
-                mu,
-                torque_weight=gains.torque_weight,
-            )
-        except RankDeficient:
-            forces = np.zeros((stance.size, 3))
-            forces[:, 2] = max(f_des[2], 0.0) / stance.size
+        foot_world = base + matvec(R_legs, foot_body[..., stance, :])
+        forces = allocate_stance_forces(
+            (f_des, tau_des), foot_world - base, mu, torque_weight=gains.torque_weight
+        )
 
     lateral = np.zeros((4, 3))
     lateral[:, 1] = SIDE_SIGN * model.l_abd
-    hip_world = state.base_pos + matvec(R, model.hip_offsets + lateral)
-    hip_vel_cmd = cmd_world + cross3((0.0, 0.0, cmd.wz), (hip_world - state.base_pos).T).T
+    hip_world = base + matvec(R_legs, model.hip_offsets + lateral)
+    hip_vel_cmd = cmd_world[..., None, :] + cross3((0.0, 0.0, wz), (hip_world - base).T).T
     ground = hip_world.copy()
-    ground[:, 2] = 0.0
+    ground[..., 2] = 0.0
 
     # touchdown-referenced foothold: the foot stays planted while the
     # hip travels, so its expected offset from the hip shrinks from
@@ -231,20 +239,22 @@ def expert_torques(
     t_stance = spec.duty * spec.period
     lead = np.where(in_stance, 0.5 * t_stance - leg_phase * spec.period, 0.5 * t_stance)
     hold_world = ground.copy()
-    hold_world[:, :2] += lead[:, None] * hip_vel_cmd[:, :2]
+    hold_world[..., :2] += lead[:, None] * hip_vel_cmd[..., :2]
     ik_legs, ik_world = LEGS, hold_world
     if swing.size:
         s = (leg_phase[swing] - spec.duty) / (1.0 - spec.duty)
-        target = raibert_target(hip_vel_cmd[swing], spec, hip_world[swing], state.base_lin_vel,
-                                gains.k_raibert)
-        start = ground[swing]
-        start[:, :2] -= 0.5 * t_stance * hip_vel_cmd[swing, :2]
+        target = raibert_target(hip_vel_cmd[..., swing, :], spec, hip_world[..., swing, :],
+                                state.base_lin_vel[..., None, :], gains.k_raibert)
+        start = ground[..., swing, :]
+        start[..., :2] -= 0.5 * t_stance * hip_vel_cmd[..., swing, :2]
         ik_legs = np.concatenate((LEGS, swing))
-        ik_world = np.concatenate((hold_world, swing_trajectory(spec, start, target, s)))
-    q_ik = _safe_ik(model, ik_legs, matvec(R.T, ik_world - state.base_pos))
-    tau_hold = gains.kp_hold * (q_ik[:4] - q_legs) - gains.kd_hold * v_legs
+        ik_world = np.concatenate((hold_world, swing_trajectory(spec, start, target, s)), axis=-2)
+    p_ik = matvec(RT[..., None, :, :], ik_world - base)
+    ik_legs = np.tile(ik_legs, batch[0]) if batch and batch[0] > 1 else ik_legs
+    q_ik = _safe_ik(model, ik_legs, p_ik.reshape(-1, 3)).reshape(p_ik.shape)
+    tau_hold = gains.kp_hold * (q_ik[..., :4, :] - q_legs) - gains.kd_hold * v_legs
 
-    tau_raw = np.empty((4, 3))
+    tau_raw = np.empty(batch + (4, 3))
     w = gains.blend_frac
     if stance.size:
         # contact force ramps in after touchdown and out before
@@ -253,19 +263,20 @@ def expert_torques(
         if w > 0.0 and spec.duty < 1.0:
             scale[:] = [min(_smoothstep(p / w), _smoothstep((spec.duty - p) / w))
                         for p in leg_phase[stance]]
-        push = matvec(J[stance].transpose(0, 2, 1), matvec(-R.T, forces))
-        tau_raw[stance] = scale[:, None] * push + tau_hold[stance]
+        push = matvec(J[..., stance, :, :].swapaxes(-1, -2), matvec((-RT)[..., None, :, :], forces))
+        tau_raw[..., stance, :] = scale[:, None] * push + tau_hold[..., stance, :]
     if swing.size:
-        tau_swing = gains.kp_swing * (q_ik[4:] - q_legs[swing]) - gains.kd_swing * v_legs[swing]
+        tau_swing = (gains.kp_swing * (q_ik[..., 4:, :] - q_legs[..., swing, :])
+                     - gains.kd_swing * v_legs[..., swing, :])
         # fade swing tracking in at liftoff and back out at touchdown
         blend = np.ones(swing.size)
         if w > 0.0:
             blend[:] = [min(_smoothstep((p - spec.duty) / w), _smoothstep((1.0 - p) / w))
                         for p in leg_phase[swing]]
         blend = blend[:, None]
-        tau_raw[swing] = blend * tau_swing + (1.0 - blend) * tau_hold[swing]
+        tau_raw[..., swing, :] = blend * tau_swing + (1.0 - blend) * tau_hold[..., swing, :]
 
-    tau_raw = tau_raw.ravel()
+    tau_raw = tau_raw.reshape(batch + (12,))
     tau = np.clip(tau_raw, -model.tau_max, model.tau_max)
     return ExpertAction(tau=tau, tau_raw=tau_raw, phase=float(np.mod(t / spec.period, 1.0)))
 

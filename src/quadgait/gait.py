@@ -132,12 +132,13 @@ def raibert_target(
 
     landing = hip ground projection + (T_stance/2) v_cmd + k_v (v - v_cmd),
     all in world xy; the command is expected already rotated into world.
-    hip_world and cmd_vel_world may hold one row per leg.
+    hip_world and cmd_vel_world may hold one row per leg, and all three
+    a leading robot axis.
     """
     cmd_vel_world = np.asarray(cmd_vel_world, dtype=float)
     t_stance = spec.duty * spec.period
     landing = np.array(hip_world, dtype=float)
     landing[..., 2] = 0.0
     landing[..., :2] += 0.5 * t_stance * cmd_vel_world[..., :2]
-    landing[..., :2] += k_v * (base_vel[:2] - cmd_vel_world[..., :2])
+    landing[..., :2] += k_v * (base_vel[..., :2] - cmd_vel_world[..., :2])
     return landing

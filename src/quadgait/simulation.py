@@ -5,7 +5,8 @@ forces.  The 12 joints are servo chains with a fixed apparent rotor
 inertia, driven by PD torques plus the virtual-work reaction of the
 foot contact force (J^T f).  Feet are points; the ground is the plane
 z = 0 with a spring-damper normal law and a viscous-saturated Coulomb
-tangential law.
+tangential law.  A state holds one robot or a batch, advanced with one
+numpy call per operation; each robot gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class ContactParams:
 @dataclass
 class SimState:
     """Full simulator state. base_quat is (w, x, y, z), world <- body;
-    base_lin_vel is world frame, base_ang_vel is body frame."""
+    base_lin_vel is world frame, base_ang_vel is body frame.  A batch has
+    a leading robot axis on every array and one shared time."""
 
     base_pos: np.ndarray
     base_quat: np.ndarray
@@ -53,18 +55,53 @@ class SimState:
     v: np.ndarray
     foot_force: np.ndarray
     time: float = 0.0
+    # values computed once per state: name -> (source field, its bytes, model, arrays)
+    _once: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.base_pos, self.base_quat, self.base_lin_vel, self.base_ang_vel,
+                self.q, self.v, self.foot_force)
 
     def copy(self) -> "SimState":
-        return SimState(
-            self.base_pos.copy(),
-            self.base_quat.copy(),
-            self.base_lin_vel.copy(),
-            self.base_ang_vel.copy(),
-            self.q.copy(),
-            self.v.copy(),
-            self.foot_force.copy(),
-            self.time,
-        )
+        return type(self)(*(a.copy() for a in self.arrays()), self.time)
+
+    def rows(self, index) -> "SimState":
+        """The robots `index` picks, as `array[index]` picks rows: an int
+        gives a one-robot state, an index array a batch, None a batch of
+        one.  What was computed once comes along."""
+        sub = type(self)(*(a[index] for a in self.arrays()), self.time)
+        for name, (source, key, model, values) in self._once.items():
+            if key == getattr(self, source).tobytes():
+                sub._once[name] = (source, getattr(sub, source).tobytes(), model, [x[index] for x in values])
+        return sub
+
+    @staticmethod
+    def stack(states) -> "SimState":
+        """One batch from one-robot states that share a time."""
+        arrays = zip(*(s.arrays() for s in states))
+        return type(states[0])(*(np.stack(a) for a in arrays), states[0].time)
+
+    def _computed(self, name: str, source: str, model, compute) -> list:
+        """compute(), once per state and model, and again if the field it
+        reads was changed in place."""
+        key = getattr(self, source).tobytes()
+        hit = self._once.get(name)
+        if hit is None or hit[1] != key or hit[2] is not model:
+            hit = self._once[name] = (source, key, model, compute())
+        return hit[3]
+
+    def rotation(self) -> np.ndarray:
+        """quat_to_matrix(base_quat), computed once per state."""
+        return self._computed("R", "base_quat", None, lambda: [quat_to_matrix(self.base_quat)])[0]
+
+    def leg_kinematics(self, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
+        """Body-frame foot positions (..., 4, 3) and Jacobians (..., 4, 3,
+        3) of the joints, computed once per state for `step` and the expert."""
+        def compute():
+            legs = LEGS if self.q.size == 12 else np.tile(LEGS, self.q.size // 12)
+            rows = leg_kinematics(model, legs, self.q.reshape(-1, 3))
+            return [x.reshape(self.q.shape[:-1] + (4,) + x.shape[1:]) for x in rows]
+        return tuple(self._computed("legs", "q", model, compute))
 
 
 @dataclass
@@ -73,44 +110,54 @@ class ImuSample:
     lin_acc: np.ndarray
 
 
+# products q_i q_j (flat index 4 i + j) summed in the order of the
+# written-out formulas, so each entry is bitwise the formula's
+_ROT_TERMS = np.array([[10, 6, 7, 6, 5, 11, 7, 11, 5], [15, 12, 8, 12, 15, 4, 8, 4, 10]])
+_ROT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_ROT_DIAG = np.array([True, False, False, False, True, False, False, False, True])
+_MUL_TERMS = np.array([[0, 5, 10, 15], [1, 4, 11, 14], [2, 7, 8, 13], [3, 6, 9, 12]])
+_MUL_SIGN = np.array([[1.0, -1, -1, -1], [1.0, 1, 1, -1], [1.0, -1, 1, 1], [1.0, 1, -1, 1]])
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrix (3, 3) of a quaternion (w, x, y, z), or (n, 3, 3)
+    for (n, 4) rows: 1 - 2(yy + zz), 2(xy - zw), 2(xz + yw); 2(xy + zw),
+    1 - 2(xx + zz), 2(yz - xw); 2(xz - yw), 2(yz + xw), 1 - 2(xx + yy)."""
+    terms = np.take((q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,)), _ROT_TERMS, -1)
+    half = terms[..., 0, :] + terms[..., 1, :] * _ROT_SIGN
+    return np.where(_ROT_DIAG, 1 - 2 * half, 2 * half).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    """a b: w = aw bw - ax bx - ay by - az bz, x = aw bx + ax bw + ay bz
+    - az by, y = aw by - ax bz + ay bw + az bx, z = aw bz + ax by - ay bx
+    + az bw."""
+    terms = np.take((a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (16,)), _MUL_TERMS, -1)
+    terms *= _MUL_SIGN
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Norm over the last axis, bitwise np.linalg.norm of each vector
+    (norm(axis=-1) rounds differently)."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(phi))
-    if angle < 1e-12:
-        return np.array([1.0, 0.5 * phi[0], 0.5 * phi[1], 0.5 * phi[2]])
-    axis = phi / angle
-    half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+    angle = _norm(phi)[..., None]
+    small = angle < 1e-12
+    if small.any():  # those rows take the small-angle form, the others the rotation
+        tiny = np.concatenate((np.ones_like(angle), 0.5 * phi), -1)
+        return np.where(small, tiny, quat_from_rotvec(np.where(small, 1.0, phi)))
+    return np.concatenate((np.cos(0.5 * angle), np.sin(0.5 * angle) * (phi / angle)), -1)
 
 
-def rpy_from_matrix(R: np.ndarray) -> tuple[float, float, float]:
-    """Roll, pitch, yaw (ZYX convention) of a body->world rotation."""
-    roll = float(np.arctan2(R[2, 1], R[2, 2]))
-    pitch = float(np.arctan2(-R[2, 0], np.hypot(R[2, 1], R[2, 2])))
-    yaw = float(np.arctan2(R[1, 0], R[0, 0]))
+def rpy_from_matrix(R: np.ndarray) -> tuple:
+    """Roll, pitch, yaw (ZYX convention) of a body->world rotation, or
+    their arrays for a (n, 3, 3) stack."""
+    roll = np.arctan2(R[..., 2, 1], R[..., 2, 2])
+    pitch = np.arctan2(-R[..., 2, 0], np.hypot(R[..., 2, 1], R[..., 2, 2]))
+    yaw = np.arctan2(R[..., 1, 0], R[..., 0, 0])
     return roll, pitch, yaw
 
 
@@ -144,22 +191,28 @@ def pd_torque(model: RobotModel, target: np.ndarray, q: np.ndarray, v: np.ndarra
     return np.clip(tau, -model.tau_max, model.tau_max)
 
 
-def _foot_contact_force(
+def _contact_forces(
     contact: ContactParams, p_world: np.ndarray, v_world: np.ndarray, dt: float
 ) -> np.ndarray:
-    pen = -p_world[2]
-    if pen <= 0.0:
-        return np.zeros(3)
-    fn = contact.k_n * pen + contact.c_n * max(0.0, -v_world[2])
-    fn = max(fn, 0.0)
-    force = np.array([0.0, 0.0, fn])
-    vt = v_world[:2]
-    speed = float(np.hypot(vt[0], vt[1]))
-    if speed > 1e-12 and fn > 0.0:
-        mag = contact.mu * fn * min(1.0, speed / contact.v_slip)
-        mag = min(mag, contact.stop_mass * speed / dt)
-        force[:2] = -mag * vt / speed
-    return force
+    """Contact force of every foot (rows like p_world): a spring-damper
+    normal force that never pulls, and a Coulomb tangential force with a
+    viscous slope below v_slip, capped by the force that stops
+    `stop_mass` within one step; zero for a foot that does not press.
+    np.minimum/maximum pick what Python's min/max pick wherever the
+    result is kept (finite values; a signed zero in the damping term is
+    added to a positive spring force)."""
+    pen = -p_world[..., 2]
+    fn = contact.k_n * pen + contact.c_n * np.maximum(-v_world[..., 2], 0.0)
+    speed = np.hypot(v_world[..., 0], v_world[..., 1])
+    mag = np.minimum(contact.mu * fn * np.minimum(speed / contact.v_slip, 1.0),
+                     contact.stop_mass * speed / dt)
+    slide = ((speed > 1e-12) & (fn > 0.0))[..., None]
+    force = np.empty(p_world.shape)
+    force[..., :2] = np.where(
+        slide, -mag[..., None] * v_world[..., :2] / np.where(slide, speed[..., None], 1.0), 0.0
+    )
+    force[..., 2] = fn
+    return np.where(((pen > 0.0) & (fn > 0.0))[..., None], force, 0.0)
 
 
 def step(
@@ -177,65 +230,71 @@ def step(
     rotor angular-momentum reaction of the accelerating joints, which
     vanishes in equilibrium and equals minus the servo torque for an
     unloaded swing leg.
+
+    For a batch, joint_target has one row per robot.  Diverged, at the
+    time of the state at fault, if any robot's incoming or new state is
+    not finite or has its base more than 100 m from the origin.
     """
     if not 0.0 < dt <= 0.005:
         raise ValueError("dt must be in (0, 0.005]")
-    _check_valid(state)
+    s = state
+    _check_valid(s)
+    batch = s.q.shape[:-1]
 
-    R = quat_to_matrix(state.base_quat)
-    tau = pd_torque(model, joint_target, state.q, state.v)
+    R = s.rotation()
+    RT = R.swapaxes(-1, -2)  # views keep the layout of R.T, which selects the BLAS kernel
+    R_legs = R[..., None, :, :]
+    tau = pd_torque(model, joint_target, s.q, s.v)
 
-    p_body, J = leg_kinematics(model, LEGS, state.q.reshape(4, 3))
-    p_world = state.base_pos + matvec(R, p_body)
-    v_world = state.base_lin_vel + matvec(
-        R, cross3(state.base_ang_vel, p_body.T).T + matvec(J, state.v.reshape(4, 3))
+    p_body, J = s.leg_kinematics(model)
+    base = s.base_pos[..., None, :]
+    p_world = base + matvec(R_legs, p_body)
+    v_world = s.base_lin_vel[..., None, :] + matvec(
+        R_legs, cross3(s.base_ang_vel.T, p_body.T).T + matvec(J, s.v.reshape(batch + (4, 3)))
     )
-    foot_force = np.zeros((4, 3))
-    for leg in range(4):
-        force = _foot_contact_force(contact, p_world[leg], v_world[leg], dt)
-        if force[2] > 0.0:
-            foot_force[leg] = force
-    loaded = np.flatnonzero(foot_force[:, 2] > 0.0)
-    f = foot_force[loaded]
-    tau_ext = np.zeros((4, 3))
-    tau_ext[loaded] = matvec(J[loaded].transpose(0, 2, 1), matvec(R.T, f))
+    foot_force = _contact_forces(contact, p_world, v_world, dt)
+    loaded = (foot_force[..., 2] > 0.0)[..., None]
+    tau_ext = np.where(loaded, matvec(J.swapaxes(-1, -2), matvec(RT[..., None, :, :], foot_force)), 0.0)
+    arm_x_force = np.where(loaded, cross3((p_world - base).T, foot_force.T).T, 0.0)
     # summed leg by leg from zero: a reduction would start from the first
     # leg's term and keep a -0.0 that 0.0 + x turns into +0.0
-    torque_world = np.zeros(3)
-    for arm_x_force in cross3((p_world[loaded] - state.base_pos).T, f.T).T:
-        torque_world += arm_x_force
+    torque_world = np.zeros(batch + (3,))
+    for leg in range(4):
+        torque_world += arm_x_force[..., leg, :]
 
     # joint servo chains, fixed apparent rotor inertia
-    alpha = (tau + tau_ext.ravel()) / model.rotor_inertia
-    v_new = state.v + alpha * dt
-    q_new = state.q + v_new * dt
+    alpha = (tau + tau_ext.reshape(batch + (12,))) / model.rotor_inertia
+    v_new = s.v + alpha * dt
+    q_new = s.q + v_new * dt
     lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
     stopped = (q_new < lo) | (q_new > hi)
     q_new = np.clip(q_new, lo, hi)
     v_new[stopped] = 0.0
     # a joint stop absorbs the rotor momentum, so the base reacts to the
     # acceleration the rotor actually had, not the commanded one
-    alpha[stopped] = (v_new[stopped] - state.v[stopped]) / dt
+    alpha[stopped] = (v_new[stopped] - s.v[stopped]) / dt
 
     # rotor momentum reaction on the base (world frame)
-    a = (alpha * model.rotor_inertia).reshape(4, 3)
-    pitch_axis = matvec(_rot_x(state.q[0::3]), np.array([0.0, 1.0, 0.0]))
-    reaction_body = a[:, :1] * np.array([1.0, 0.0, 0.0]) + (a[:, 1] + a[:, 2])[:, None] * pitch_axis
-    for reaction_world in matvec(R, reaction_body):
-        torque_world -= reaction_world
+    a = (alpha * model.rotor_inertia).reshape(batch + (4, 3))
+    pitch_axis = matvec(_rot_x(s.q[..., 0::3]), np.array([0.0, 1.0, 0.0]))
+    reaction_body = a[..., :1] * np.array([1.0, 0.0, 0.0]) + (a[..., 1] + a[..., 2])[..., None] * pitch_axis
+    reaction_world = matvec(R_legs, reaction_body)
+    for leg in range(4):
+        torque_world -= reaction_world[..., leg, :]
 
-    force_world = foot_force.sum(axis=0) + model.mass * GRAVITY
+    force_world = foot_force.sum(axis=-2) + model.mass * GRAVITY
 
-    lin_vel = state.base_lin_vel + (force_world / model.mass) * dt
-    base_pos = state.base_pos + lin_vel * dt
+    lin_vel = s.base_lin_vel + (force_world / model.mass) * dt
+    base_pos = s.base_pos + lin_vel * dt
 
-    torque_body = R.T @ torque_world
+    torque_body = matvec(RT, torque_world)
     I = model.base_inertia
-    omega = state.base_ang_vel
-    omega_dot = np.linalg.solve(I, torque_body - cross3(omega, I @ omega))
+    omega = s.base_ang_vel
+    rhs = torque_body - cross3(omega.T, matvec(I, omega).T).T
+    omega_dot = np.linalg.solve(I, rhs[..., None])[..., 0]
     omega_new = omega + omega_dot * dt
-    quat = quat_multiply(state.base_quat, quat_from_rotvec(omega_new * dt))
-    quat /= np.linalg.norm(quat)
+    quat = quat_multiply(s.base_quat, quat_from_rotvec(omega_new * dt))
+    quat /= _norm(quat)[..., None]
 
     new_state = SimState(
         base_pos=base_pos,
@@ -245,74 +304,114 @@ def step(
         q=q_new,
         v=v_new,
         foot_force=foot_force,
-        time=state.time + dt,
+        time=s.time + dt,
     )
     _check_valid(new_state)
     return new_state
 
 
 def _check_valid(state: SimState):
-    values = np.concatenate((state.base_pos, state.base_quat, state.base_lin_vel,
-                             state.base_ang_vel, state.q, state.v, state.foot_force.ravel()))
-    if not np.isfinite(values).all() or np.linalg.norm(state.base_pos) > 100.0:
+    """Diverged unless every robot is finite with its base within 100 m
+    of the origin."""
+    if not np.isfinite(np.concatenate(state.arrays(), axis=None)).all() or (
+        _norm(state.base_pos).max() > 100.0
+    ):
         raise Diverged(state.time)
 
 
-def survival_violation(state: SimState, model: RobotModel) -> str | None:
+def survival_violation(state: SimState, model: RobotModel):
     """Why the robot counts as fallen, or None while it is upright: the
     base height must stay inside [0.4, 1.6] x nominal and |roll|, |pitch|
-    below 0.6 rad.  Rollouts, collection and the expert gate share it."""
-    height = state.base_pos[2]
+    below 0.6 rad.  For a batch, a list with one entry per robot.
+    Rollouts, collection and the expert gate share it."""
     lo, hi = 0.4 * model.nominal_base_height, 1.6 * model.nominal_base_height
-    if not lo <= height <= hi:
-        return f"height {height:.3f} m outside [{lo:.3f}, {hi:.3f}]"
-    roll, pitch, _ = rpy_from_matrix(quat_to_matrix(state.base_quat))
-    if abs(roll) >= 0.6:
-        return f"roll {roll:+.3f} rad"
-    if abs(pitch) >= 0.6:
-        return f"pitch {pitch:+.3f} rad"
-    return None
+    roll, pitch, _ = rpy_from_matrix(state.rotation())
+    reasons = [f"height {h:.3f} m outside [{lo:.3f}, {hi:.3f}]" if not lo <= h <= hi
+               else f"roll {r:+.3f} rad" if abs(r) >= 0.6
+               else f"pitch {p:+.3f} rad" if abs(p) >= 0.6 else None
+               for h, r, p in zip(*(np.atleast_1d(x).tolist() for x in (state.base_pos[..., 2], roll, pitch)))]
+    return reasons if state.q.ndim > 1 else reasons[0]
 
 
 def simulate(
     model: RobotModel,
     contact: ContactParams,
     state: SimState,
-    n_ticks: int,
+    n_ticks,
     dt: float,
     control,
     prev: SimState | None = None,
     disturb=None,
     on_step=None,
 ):
-    """The closed loop shared by collection, the expert gate and rollouts.
+    """The closed loop shared by collection, the expert gate and
+    rollouts, for a batch of robots in lockstep; n_ticks is one horizon
+    or one per robot.
 
-    Each tick: `disturb(i, state)`, if given, may return a replaced
-    (pushed) state; `control(i, prev, state)` returns the joint target;
-    `step` advances; `on_step(state)`, if given, sees the new state once
-    it is known to be upright.  `prev` is the state one tick before
-    `state`, the pair `read_imu` needs; it defaults to `state`, so the
-    first reading sees no acceleration.  The loop ends after n_ticks ticks or at the first fall:
-    `step` raising Diverged, or a `survival_violation`.
+    Each tick, `live` holds the batch indices of the robots still running
+    and `prev`, `state` their states: `disturb(i, live, state)`, if
+    given, may return a replaced (pushed) state; `control(i, live, prev,
+    state)` returns one joint-target row per robot; `step` advances
+    them; `on_step(live, state)`, if given, sees the upright new states.
+    `prev`, the state one tick before (for `read_imu`), defaults to
+    `state`.  A robot leaves at its horizon or its first fall (`step`
+    raising Diverged for it, or a `survival_violation`); the others go on.
 
-    Returns (prev, state, fall) with fall None or (time, reason).
+    Returns (prev, state, falls): per robot, its last pair of one-robot
+    states and None or its fall (time, reason).
     """
+    one = state.q.ndim == 1  # a one-robot state runs as it is, on numpy scalars
+    n = 1 if one else len(state.q)
+    horizon = np.broadcast_to(n_ticks, (n,))
     prev = state if prev is None else prev
-    for i in range(n_ticks):
+    live = np.arange(n)
+    last_prev, last_state, falls = [None] * n, [None] * n, [None] * n
+    pick = (lambda x, k: x) if one else (lambda x, k: x[k] if isinstance(x, np.ndarray) else x.rows(k))
+
+    def leave(gone, new=None):
+        # gone robots keep (prev, new or state); `new` holds the others
+        nonlocal live, prev, state
+        for k in np.flatnonzero(gone):
+            last_prev[live[k]], last_state[live[k]] = pick(prev, k), pick(state if new is None else prev, k)
+        keep = np.flatnonzero(~gone)
+        live, prev = live[keep], prev.rows(keep)
+        state = state.rows(keep) if new is None else new
+
+    ends = set(horizon.tolist())
+    for i in range(int(horizon.max(initial=0))):
+        if i in ends:
+            leave(horizon[live] <= i)
         if disturb is not None:
-            state = disturb(i, state)
-        target = control(i, prev, state)
+            state = disturb(i, live, state)
+        target = control(i, live, prev, state)
         prev = state
         try:
-            state = step(state, model, contact, target, dt)
-        except Diverged as exc:
-            return prev, state, (exc.time, exc.reason)
-        reason = survival_violation(state, model)
-        if reason is not None:
-            return prev, state, (state.time, reason)
+            state = step(prev, model, contact, target, dt)
+        except Diverged:
+            # robot by robot, to find which diverged; rows are independent
+            survivors = []
+            for k, robot in enumerate(live):
+                try:
+                    survivors.append(step(pick(prev, k), model, contact, pick(target, k), dt))
+                except Diverged as exc:
+                    falls[robot] = (exc.time, exc.reason)
+            leave(np.array([falls[r] is not None for r in live]),
+                  SimState.stack(survivors) if survivors else None)
+            if not live.size:
+                break
+        reasons = [survival_violation(state, model)] if one else survival_violation(state, model)
+        if any(reasons):
+            for k, reason in enumerate(reasons):
+                if reason is not None:
+                    falls[live[k]] = (state.time, reason)
+            leave(np.array([reason is not None for reason in reasons]))
+            if not live.size:
+                break
         if on_step is not None:
-            on_step(state)
-    return prev, state, None
+            on_step(live, state)
+    if live.size:
+        leave(np.ones(len(live), bool))
+    return last_prev, last_state, falls
 
 
 def read_imu(prev: SimState, curr: SimState, dt: float) -> ImuSample:
@@ -321,14 +420,14 @@ def read_imu(prev: SimState, curr: SimState, dt: float) -> ImuSample:
     The accelerometer reads specific force, so it reports +9.81 on z at
     rest and zero in free fall.
     """
-    R = quat_to_matrix(curr.base_quat)
-    lin_acc = R.T @ ((curr.base_lin_vel - prev.base_lin_vel) / dt - GRAVITY)
+    R = curr.rotation()
+    lin_acc = matvec(R.swapaxes(-1, -2), (curr.base_lin_vel - prev.base_lin_vel) / dt - GRAVITY)
     return ImuSample(ang_vel=curr.base_ang_vel.copy(), lin_acc=lin_acc)
 
 
 def contact_flags(state: SimState, contact: ContactParams) -> np.ndarray:
     """Boolean per-foot contact from the normal force component."""
-    return state.foot_force[:, 2] > contact.contact_force_threshold
+    return state.foot_force[..., 2] > contact.contact_force_threshold
 
 
 ROLLOUT_CSV_COLUMNS = (
@@ -348,21 +447,9 @@ class RolloutLog:
     rows: list = field(default_factory=list)
 
     def append(self, state: SimState, target: np.ndarray, flags: np.ndarray):
-        self.rows.append(
-            np.concatenate(
-                (
-                    [state.time],
-                    state.base_pos,
-                    state.base_quat,
-                    state.base_lin_vel,
-                    state.base_ang_vel,
-                    state.q,
-                    state.v,
-                    np.asarray(target, dtype=float),
-                    flags.astype(float),
-                )
-            )
-        )
+        # flattened, so a batch of one robot logs like the robot
+        self.rows.append(np.concatenate(([state.time], *state.arrays()[:6], np.asarray(target, dtype=float),
+                                         flags.astype(float)), axis=None))
 
     def as_array(self) -> np.ndarray:
         if not self.rows:

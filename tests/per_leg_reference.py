@@ -4,8 +4,11 @@ replaced, kept as the bitwise reference for test_leg_batching.py.
 Everything the batched code rewrote is copied here with its old body
 (comments, docstrings and the clamp warning left out):
 the one-leg FK, Jacobian and IK, the grasp-matrix loop of the force
-allocation, the swing and Raibert helpers, `step` and `expert_torques`.
-Helpers the batching left unchanged are imported from the package.
+allocation, the swing and Raibert helpers, `step` and `expert_torques`,
+and the one-robot helpers that the robot-batched tick replaced: the
+quaternion and rotation helpers, the per-foot contact law and the base
+wrench PD.  Helpers the batching left unchanged are imported from the
+package.
 """
 
 from __future__ import annotations
@@ -13,18 +16,93 @@ from __future__ import annotations
 import numpy as np
 
 from quadgait.errors import Diverged, RankDeficient, Unreachable
-from quadgait.expert import ExpertAction, ExpertGains, _desired_wrench
+from quadgait.expert import ExpertAction, ExpertGains
 from quadgait.gait import gait_phase
 from quadgait.robot import SIDE_SIGN, cross3
-from quadgait.simulation import (
-    GRAVITY,
-    SimState,
-    _foot_contact_force,
-    pd_torque,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_to_matrix,
-)
+from quadgait.simulation import GRAVITY, SimState, pd_torque
+
+
+def quat_to_matrix(q):
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def quat_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def quat_from_rotvec(phi):
+    angle = float(np.linalg.norm(phi))
+    if angle < 1e-12:
+        return np.array([1.0, 0.5 * phi[0], 0.5 * phi[1], 0.5 * phi[2]])
+    axis = phi / angle
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
+
+
+def rpy_from_matrix(R):
+    roll = float(np.arctan2(R[2, 1], R[2, 2]))
+    pitch = float(np.arctan2(-R[2, 0], np.hypot(R[2, 1], R[2, 2])))
+    yaw = float(np.arctan2(R[1, 0], R[0, 0]))
+    return roll, pitch, yaw
+
+
+def _foot_contact_force(contact, p_world, v_world, dt):
+    pen = -p_world[2]
+    if pen <= 0.0:
+        return np.zeros(3)
+    fn = contact.k_n * pen + contact.c_n * max(0.0, -v_world[2])
+    fn = max(fn, 0.0)
+    force = np.array([0.0, 0.0, fn])
+    vt = v_world[:2]
+    speed = float(np.hypot(vt[0], vt[1]))
+    if speed > 1e-12 and fn > 0.0:
+        mag = contact.mu * fn * min(1.0, speed / contact.v_slip)
+        mag = min(mag, contact.stop_mass * speed / dt)
+        force[:2] = -mag * vt / speed
+    return force
+
+
+def _desired_wrench(state, model, spec, cmd, gains, R):
+    roll, pitch, yaw = rpy_from_matrix(R)
+    cos_y, sin_y = np.cos(yaw), np.sin(yaw)
+    cmd_world = np.array([cmd.vx * cos_y - cmd.vy * sin_y, cmd.vx * sin_y + cmd.vy * cos_y, 0.0])
+
+    f = np.zeros(3)
+    f[:2] = gains.kv_linear * (cmd_world[:2] - state.base_lin_vel[:2])
+    support = spec.duty if np.ptp(spec.phase_offset) == 0.0 else 1.0
+    f[2] = (
+        model.mass * 9.81 / support
+        + gains.kp_height * (model.nominal_base_height - state.base_pos[2])
+        - gains.kd_height * state.base_lin_vel[2]
+    )
+
+    omega_world = R @ state.base_ang_vel
+    tau_body = np.array(
+        [
+            -gains.kp_attitude * roll - gains.kd_attitude * state.base_ang_vel[0],
+            -gains.kp_attitude * pitch - gains.kd_attitude * state.base_ang_vel[1],
+            0.0,
+        ]
+    )
+    tau = R @ tau_body
+    tau[2] += gains.kd_attitude * (cmd.wz - omega_world[2])
+    return f, tau, cmd_world
 
 
 def _rot_x(angle: float) -> np.ndarray:

@@ -68,6 +68,16 @@ class TestCollect:
         assert sorted(p.name for p in out.glob("*.qgd")) == [
             "walk_holdout.qgd", "walk_train.qgd"]
 
+    def test_failed_gate_is_one_line_numeric_error(self, tmp_path, capsys):
+        # without a height loop the trot expert sags out of its gate
+        cfg = tmp_path / "sag.cfg"
+        cfg.write_text(FAST_CONFIG + "data.samples_per_traj = 50\n"
+                       "expert.kp_height = 0\nexpert.kd_height = 0\n")
+        rc = cli.main(["collect", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "gait 'trot'" in err[0]
+
     def test_invalid_gait_usage_error(self, workspace, tmp_path):
         root, cfg = workspace
         rc = cli.main(["collect", "--config", str(cfg), "--gaits", "gallop",
