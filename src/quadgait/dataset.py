@@ -26,7 +26,7 @@ from .errors import (
     VersionMismatch,
 )
 from .expert import ExpertGains, expert_torques
-from .gait import GaitSpec, VelocityCommand
+from .gait import GaitSpec, VelocityCommand, stack_gaits
 from .robot import RobotModel
 from .simulation import (
     ContactParams,
@@ -188,13 +188,11 @@ def expert_target(model, contact, spec, cmd, gains, state) -> tuple[np.ndarray, 
 def _run_experts(model, contact, robots, dt, gains, plan):
     """Expert runs of `robots`, (spec, cmd, n_settle, n_samples, rng)
     each, as one batch in lockstep on `simulate`, with one expert call
-    per gait spec and tick; each robot's run is bitwise its lone run (see
-    run_expert_trajectory).  Returns per robot (obs, act, clamped), or
-    (None, time, reason) if it fell or diverged."""
+    per tick for all robots, whatever their gaits; each robot's run is
+    bitwise its lone run (see run_expert_trajectory).  Returns per robot
+    (obs, act, clamped), or (None, time, reason) if it fell or diverged."""
     gains = gains or ExpertGains()
     specs, cmds, n_settle, n_samples, rngs = zip(*robots)
-    first: dict[int, int] = {}
-    gait = np.array([first.setdefault(id(spec), k) for k, spec in enumerate(specs)])
     cmds = np.array([cmd.as_tuple() for cmd in cmds])
     n_settle, n_samples = np.array(n_settle), np.array(n_samples)
     rngs = [rng if plan is not None else None for rng in rngs]
@@ -216,7 +214,7 @@ def _run_experts(model, contact, robots, dt, gains, plan):
             state.base_pos[:2] += plan.init_jitter * rng.standard_normal(2)
             state.base_lin_vel[:2] += plan.init_jitter * rng.standard_normal(2)
             state.q += 0.5 * plan.init_jitter * rng.standard_normal(12)
-    blocks_of: dict[int, list] = {}  # gait blocks of the live batch, by its size
+    gaits_of: dict[int, GaitSpec] = {}  # the live robots' gaits, by their count (`live` only shrinks)
 
     def push(i, live, state):
         if i == 0 or i % push_every or all(rngs[j] is None for j in live):
@@ -229,16 +227,10 @@ def _run_experts(model, contact, robots, dt, gains, plan):
         return state
 
     def control(i, live, prev, state):
-        if len(live) not in blocks_of:
-            blocks_of[len(live)] = [(specs[g], np.flatnonzero(gait[live] == g))
-                                    for g in dict.fromkeys(gait[live].tolist())]
-        state.rotation(), state.leg_kinematics(model)  # once: `step` and the blocks read them
-        tau = np.empty((len(live), ACT_DIM))
-        for spec, rows in blocks_of[len(live)]:
-            pick = rows[0] if len(rows) == 1 else rows  # one robot runs faster without the axis
-            block = state.rows(pick)
-            tau[rows] = expert_torques(block, model, spec, cmds[live[pick]], block.time, gains,
-                                       contact.mu).tau_raw
+        if len(live) not in gaits_of:
+            gaits_of[len(live)] = stack_gaits([specs[j] for j in live])
+        tau = expert_torques(state, model, gaits_of[len(live)], cmds[live], state.time, gains,
+                             contact.mu).tau_raw
         target = inverse_pd_target(tau, state.q, state.v, model.kp, model.kd)
         k = i - n_settle[live]
         rec = k >= 0
@@ -340,9 +332,9 @@ def collect(
     discarded and listed in the report; more than 10% of them aborts the
     campaign with CollectionFailed.  Every gait must also pass
     `expert_gate_check`; if one fails, CollectionFailed names the first
-    such gait in plan order.  The gates and the cells run in this
-    process as one lockstep batch (see `_run_experts`), each cell on its
-    own seed sequence.
+    such gait in plan order.  The gates and the cells of every gait run
+    in this process as one lockstep batch with one expert call per tick
+    (see `_run_experts`), each cell on its own seed sequence.
     """
     plan.validate()
     gains = gains or ExpertGains()

@@ -9,18 +9,19 @@ the Jacobian transpose.  Swing legs: IK tracking of a smoothstep/sin
 swing trajectory toward a Raibert landing point.
 
 The expert is stateless: torques depend only on (state, t, cmd, spec),
-so one call serves a batch of robots that share the gait and t.
+so one call serves a batch of robots at one t, each on its own gait.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficient
-from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, swing_trajectory
+from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, stack_gaits, swing_trajectory
 from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, matvec
 from .simulation import SimState, rpy_from_matrix
 
@@ -56,11 +57,11 @@ class ExpertGains:
 class ExpertAction:
     """Expert output: clamped torque, the raw pre-clamp torque used to
     derive supervised targets, and the global gait phase (diagnostic
-    only, never part of the observation)."""
+    only, never part of the observation; (n, 1) for stacked gaits)."""
 
     tau: np.ndarray
     tau_raw: np.ndarray
-    phase: float
+    phase: float | np.ndarray
 
 
 def allocate_stance_forces(
@@ -159,7 +160,7 @@ def _desired_wrench(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base wrench PD for a batch; returns (f_world, tau_world,
     cmd_vel_world), one row per robot.  `cmd` is (vx, vy, wz), each a
-    float or one entry per robot.
+    float or one entry per robot; `spec` is one gait or stacked gaits.
 
     The vertical feedforward balances momentum over a whole period: a
     gait whose legs all swing together (pronk) is unsupported for
@@ -175,7 +176,8 @@ def _desired_wrench(
     lin_vel, omega = state.base_lin_vel, state.base_ang_vel
     f = np.empty(np.shape(yaw) + (3,))
     f[..., :2] = gains.kv_linear * (cmd_world[..., :2] - lin_vel[..., :2])
-    support = spec.duty if np.ptp(spec.phase_offset) == 0.0 else 1.0
+    pronk = np.ptp(spec.phase_offset, axis=-1) == 0.0
+    support = np.where(pronk, spec.duty[..., 0], 1.0) if pronk.ndim else spec.duty if pronk else 1.0
     f[..., 2] = (
         model.mass * 9.81 / support
         + gains.kp_height * (model.nominal_base_height - state.base_pos[..., 2])
@@ -202,9 +204,11 @@ def expert_torques(
 ) -> ExpertAction:
     """Expert joint torques at time t (deterministic, stateless).
 
-    `state` holds one robot or a batch that shares the gait and t; `cmd`
-    is one VelocityCommand, or an (n, 3) array of (vx, vy, wz) rows, one
-    per robot.  A batch gets (n, 12) torques.
+    `state` holds one robot or a batch at time t.  `spec` is one gait for
+    all of them, or `stack_gaits` of one per robot, so one call serves
+    robots of different gaits.  `cmd` is one VelocityCommand, or an
+    (n, 3) array of (vx, vy, wz) rows, one per robot.  A batch gets
+    (n, 12) torques.
     """
     gains = gains or ExpertGains()
     batch = state.q.shape[:-1]
@@ -212,23 +216,30 @@ def expert_torques(
     wz = vx_vy_wz[2]
     R = state.rotation()
     RT = R.swapaxes(-1, -2)  # views keep the layout of R.T, which selects the BLAS kernel
-    R_legs = R[..., None, :, :]
+    spec = stack_gaits([spec] * batch[0]) if batch and np.ndim(spec.duty) == 0 else spec  # one gait for all
     leg_phase, in_stance = gait_phase(spec, t)
+    swing = ~in_stance
     f_des, tau_des, cmd_world = _desired_wrench(state, model, spec, vx_vy_wz, gains, R)
-    stance, swing = np.flatnonzero(in_stance), np.flatnonzero(~in_stance)
     q_legs, v_legs = state.q.reshape(batch + (4, 3)), state.v.reshape(batch + (4, 3))
     base = state.base_pos[..., None, :]
 
+    # one allocation per stance-foot count k, over the (n_k, k, 3) feet of the
+    # robots with k stance feet in leg order, and their torques J^T(-R^T f)
     foot_body, J = state.leg_kinematics(model)
-    if stance.size:
-        foot_world = base + matvec(R_legs, foot_body[..., stance, :])
-        forces = allocate_stance_forces(
-            (f_des, tau_des), foot_world - base, mu, torque_weight=gains.torque_weight
-        )
+    push = np.zeros(batch + (4, 3))
+    n_stance = in_stance.sum(-1)
+    for k in set(np.ravel(n_stance).tolist()) - {0}:
+        robots = n_stance == k if batch else ()  # () takes the one robot as it is
+        feet = in_stance & (n_stance == k)[..., None]
+        row = np.nonzero(feet)[:-1]  # the robot of each row, as `robots` picks it
+        arms = state.base_pos[row] + matvec(R[row], foot_body[feet]) - state.base_pos[row]
+        forces = allocate_stance_forces((f_des[robots], tau_des[robots]), arms, mu,
+                                        torque_weight=gains.torque_weight)
+        push[feet] = matvec(J[feet].swapaxes(-1, -2), matvec(-RT[row], forces.reshape(-1, 3)))
 
     lateral = np.zeros((4, 3))
     lateral[:, 1] = SIDE_SIGN * model.l_abd
-    hip_world = base + matvec(R_legs, model.hip_offsets + lateral)
+    hip_world = base + matvec(R[..., None, :, :], model.hip_offsets + lateral)
     hip_vel_cmd = cmd_world[..., None, :] + cross3((0.0, 0.0, wz), (hip_world - base).T).T
     ground = hip_world.copy()
     ground[..., 2] = 0.0
@@ -239,50 +250,53 @@ def expert_torques(
     t_stance = spec.duty * spec.period
     lead = np.where(in_stance, 0.5 * t_stance - leg_phase * spec.period, 0.5 * t_stance)
     hold_world = ground.copy()
-    hold_world[..., :2] += lead[:, None] * hip_vel_cmd[..., :2]
-    ik_legs, ik_world = LEGS, hold_world
-    if swing.size:
-        s = (leg_phase[swing] - spec.duty) / (1.0 - spec.duty)
-        target = raibert_target(hip_vel_cmd[..., swing, :], spec, hip_world[..., swing, :],
-                                state.base_lin_vel[..., None, :], gains.k_raibert)
-        start = ground[..., swing, :]
-        start[..., :2] -= 0.5 * t_stance * hip_vel_cmd[..., swing, :2]
-        ik_legs = np.concatenate((LEGS, swing))
-        ik_world = np.concatenate((hold_world, swing_trajectory(spec, start, target, s)), axis=-2)
-    p_ik = matvec(RT[..., None, :, :], ik_world - base)
-    ik_legs = np.tile(ik_legs, batch[0]) if batch and batch[0] > 1 else ik_legs
-    q_ik = _safe_ik(model, ik_legs, p_ik.reshape(-1, 3)).reshape(p_ik.shape)
-    tau_hold = gains.kp_hold * (q_ik[..., :4, :] - q_legs) - gains.kd_hold * v_legs
+    hold_world[..., :2] += lead[..., None] * hip_vel_cmd[..., :2]
+    ik_legs = np.tile(LEGS, batch[0]) if batch else LEGS
+    p_ik = matvec(RT[..., None, :, :], hold_world - base).reshape(-1, 3)
+    *robot, leg = np.nonzero(swing)  # swing rows: the (robot, leg) pairs outside stance
+    robot, rows, duty = tuple(robot), spec, spec.duty  # (), the spec and its duty for one robot
+    if leg.size:
+        if batch:  # the gait values of each swing row
+            rows = copy.copy(spec)
+            rows.period, rows.duty, rows.swing_height = (spec.period[robot], spec.duty[robot],
+                                                         spec.swing_height[robot])
+            duty = rows.duty[:, 0]
+        s = (leg_phase[swing] - duty) / (1.0 - duty)
+        target = raibert_target(hip_vel_cmd[swing], rows, hip_world[swing], state.base_lin_vel[robot],
+                                gains.k_raibert)
+        start = ground[swing]
+        start[..., :2] -= 0.5 * (rows.duty * rows.period) * hip_vel_cmd[swing][..., :2]
+        swing_world = swing_trajectory(rows, start, target, s)
+        ik_legs = np.concatenate((ik_legs, leg))
+        p_ik = np.concatenate((p_ik, matvec(RT[robot], swing_world - state.base_pos[robot])))
+    q_ik = _safe_ik(model, ik_legs, p_ik)
+    q_hold = q_ik[: q_legs.size // 3].reshape(q_legs.shape)
+    tau_hold = gains.kp_hold * (q_hold - q_legs) - gains.kd_hold * v_legs
 
-    tau_raw = np.empty(batch + (4, 3))
-    w = gains.blend_frac
-    if stance.size:
-        # contact force ramps in after touchdown and out before
-        # liftoff so the torque stays continuous in phase
-        scale = np.ones(stance.size)
-        if w > 0.0 and spec.duty < 1.0:
-            scale[:] = [min(_smoothstep(p / w), _smoothstep((spec.duty - p) / w))
-                        for p in leg_phase[stance]]
-        push = matvec(J[..., stance, :, :].swapaxes(-1, -2), matvec((-RT)[..., None, :, :], forces))
-        tau_raw[..., stance, :] = scale[:, None] * push + tau_hold[..., stance, :]
-    if swing.size:
-        tau_swing = (gains.kp_swing * (q_ik[..., 4:, :] - q_legs[..., swing, :])
-                     - gains.kd_swing * v_legs[..., swing, :])
-        # fade swing tracking in at liftoff and back out at touchdown
-        blend = np.ones(swing.size)
-        if w > 0.0:
-            blend[:] = [min(_smoothstep((p - spec.duty) / w), _smoothstep((1.0 - p) / w))
-                        for p in leg_phase[swing]]
-        blend = blend[:, None]
-        tau_raw[..., swing, :] = blend * tau_swing + (1.0 - blend) * tau_hold[..., swing, :]
+    # the contact force ramps in after touchdown and out before liftoff,
+    # and swing tracking in at liftoff and out at touchdown, so the torque
+    # stays continuous in phase
+    w, fade = gains.blend_frac, np.ones(in_stance.shape)
+    if w > 0.0:
+        edges = np.where(in_stance, (leg_phase, spec.duty - leg_phase),  # into and out of stance,
+                         (leg_phase - spec.duty, 1.0 - leg_phase))  # and of swing
+        fade = np.minimum(*_smoothstep(edges / w))
+        fade[in_stance & (spec.duty >= 1.0)] = 1.0  # a gait that never swings keeps its full force
+    tau_raw = fade[..., None] * push + tau_hold
+    if leg.size:
+        tau_swing = (gains.kp_swing * (q_ik[q_legs.size // 3:] - q_legs[swing])
+                     - gains.kd_swing * v_legs[swing])
+        blend = fade[swing][:, None]
+        tau_raw[swing] = blend * tau_swing + (1.0 - blend) * tau_hold[swing]
 
     tau_raw = tau_raw.reshape(batch + (12,))
-    tau = np.clip(tau_raw, -model.tau_max, model.tau_max)
-    return ExpertAction(tau=tau, tau_raw=tau_raw, phase=float(np.mod(t / spec.period, 1.0)))
+    tau = np.minimum(np.maximum(tau_raw, -model.tau_max), model.tau_max)  # np.clip's bits, faster
+    return ExpertAction(tau=tau, tau_raw=tau_raw, phase=np.mod(t / spec.period, 1.0))
 
 
-def _smoothstep(x: float) -> float:
-    x = min(max(x, 0.0), 1.0)
+def _smoothstep(x: np.ndarray) -> np.ndarray:
+    """x^2 (3 - 2x) of x clamped to [0, 1], entry by entry."""
+    x = np.minimum(np.maximum(x, 0.0), 1.0)  # Python's min/max: x is finite, and -0.0 squares to +0.0
     return x * x * (3.0 - 2.0 * x)
 
 

@@ -6,6 +6,7 @@ gait); period and swing height are tunable.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,16 @@ def make_gait(name: str, period: float | None = None, swing_height: float | None
     )
 
 
+def stack_gaits(specs) -> GaitSpec:
+    """One spec per robot as one GaitSpec with a robot axis: the names a
+    tuple, phase offsets (n, 4), period, duty and swing height (n, 1)."""
+    stacked = copy.copy(specs[0])
+    stacked.name = tuple(spec.name for spec in specs)
+    for key in ("period", "duty", "phase_offset", "swing_height"):
+        setattr(stacked, key, np.array([np.ravel(getattr(spec, key)) for spec in specs]))
+    return stacked
+
+
 def stand_spec() -> GaitSpec:
     """Stance-hold pseudo-gait used by the expert's standing oracle."""
     return make_gait("stand")
@@ -95,7 +106,8 @@ class VelocityCommand:
 
 
 def gait_phase(spec: GaitSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-leg phase in [0, 1) and stance flags at time t >= 0."""
+    """Per-leg phase in [0, 1) and stance flags at time t >= 0, (n, 4)
+    for stacked gaits."""
     leg_phase = np.mod(t / spec.period + spec.phase_offset, 1.0)
     return leg_phase, leg_phase < spec.duty
 
@@ -109,7 +121,7 @@ def swing_trajectory(
     between start and target; a sin arch of height swing_height rides on
     top, so endpoints are exact and the apex sits at swing_height above
     the blended ground line.  With an array s, start and target hold one
-    row per entry of s.
+    row per entry of s, and the spec's values may hold one row each too.
     """
     s = np.clip(s, 0.0, 1.0)
     # the cubic is a Python float power per entry: numpy's array power
@@ -117,7 +129,7 @@ def swing_trajectory(
     blend = np.reshape([3.0 * x * x - 2.0 * x**3 for x in np.ravel(s).tolist()], np.shape(s) + (1,))
     start = np.asarray(start, float)
     point = start + blend * (np.asarray(target, float) - start)
-    point[..., 2] += spec.swing_height * np.sin(np.pi * s)
+    point[..., 2:] += spec.swing_height * np.sin(np.pi * s).reshape(blend.shape)
     return point
 
 
@@ -133,7 +145,7 @@ def raibert_target(
     landing = hip ground projection + (T_stance/2) v_cmd + k_v (v - v_cmd),
     all in world xy; the command is expected already rotated into world.
     hip_world and cmd_vel_world may hold one row per leg, and all three
-    a leading robot axis.
+    a leading robot axis; the spec's values may hold one row per leg too.
     """
     cmd_vel_world = np.asarray(cmd_vel_world, dtype=float)
     t_stance = spec.duty * spec.period

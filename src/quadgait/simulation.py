@@ -188,7 +188,7 @@ def nominal_stance_state(
 def pd_torque(model: RobotModel, target: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """tau = kp (target - q) - kd v, clamped to +-tau_max per joint."""
     tau = model.kp * (np.asarray(target) - q) - model.kd * v
-    return np.clip(tau, -model.tau_max, model.tau_max)
+    return np.minimum(np.maximum(tau, -model.tau_max), model.tau_max)  # np.clip's bits, faster
 
 
 def _contact_forces(
@@ -326,10 +326,13 @@ def survival_violation(state: SimState, model: RobotModel):
     Rollouts, collection and the expert gate share it."""
     lo, hi = 0.4 * model.nominal_base_height, 1.6 * model.nominal_base_height
     roll, pitch, _ = rpy_from_matrix(state.rotation())
-    reasons = [f"height {h:.3f} m outside [{lo:.3f}, {hi:.3f}]" if not lo <= h <= hi
-               else f"roll {r:+.3f} rad" if abs(r) >= 0.6
-               else f"pitch {p:+.3f} rad" if abs(p) >= 0.6 else None
-               for h, r, p in zip(*(np.atleast_1d(x).tolist() for x in (state.base_pos[..., 2], roll, pitch)))]
+    height = state.base_pos[..., 2]
+    fallen = np.atleast_1d(~((lo <= height) & (height <= hi)) | (np.abs(roll) >= 0.6) | (np.abs(pitch) >= 0.6))
+    reasons = [None] * fallen.size
+    for k in fallen.nonzero()[0]:  # a reason is formatted only for a robot that fell
+        h, r, p = (np.ravel(x)[k].item() for x in (height, roll, pitch))
+        reasons[k] = (f"height {h:.3f} m outside [{lo:.3f}, {hi:.3f}]" if not lo <= h <= hi
+                      else f"roll {r:+.3f} rad" if abs(r) >= 0.6 else f"pitch {p:+.3f} rad")
     return reasons if state.q.ndim > 1 else reasons[0]
 
 

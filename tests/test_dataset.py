@@ -329,8 +329,8 @@ class TestCollection:
 
         real_expert = dataset.expert_torques
 
-        # the batched expert: one call per gait block, one command row per
-        # robot (a block of one robot passes its row alone)
+        # the batched expert: one call per tick for every robot of the
+        # campaign, one command row per robot
         def limp_at_vx_03(state, model, spec, cmd, t, gains, mu):
             act = real_expert(state, model, spec, cmd, t, gains, mu)
             limp = (np.asarray(cmd)[..., 0] == 0.3)[..., None]

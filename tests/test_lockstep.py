@@ -13,8 +13,16 @@ import per_robot_reference as solo
 import quadgait.dataset as dataset
 from quadgait.dataset import CollectionPlan, collect, inverse_pd_target
 from quadgait.expert import ExpertAction, expert_torques
-from quadgait.gait import VelocityCommand, make_gait
-from quadgait.simulation import SimState, nominal_stance_state, simulate, step
+from quadgait.gait import VelocityCommand, gait_phase, make_gait, stack_gaits
+from quadgait.simulation import (
+    SimState,
+    nominal_stance_state,
+    quat_from_rotvec,
+    quat_multiply,
+    simulate,
+    step,
+    survival_violation,
+)
 
 FIELDS = ("base_pos", "base_quat", "base_lin_vel", "base_ang_vel", "q", "v", "foot_force")
 
@@ -47,10 +55,10 @@ def test_campaign_matches_per_robot_reference(model, contact, gains, monkeypatch
 
     def limp_batch(state, model, spec, cmd, t, gains, mu):
         act = expert_torques(state, model, spec, cmd, t, gains, mu)
-        if spec.name == "trot":  # cmd holds one (vx, vy, wz) row per robot, or one row
-            limp = (np.asarray(cmd)[..., 0] == 0.3)[..., None]
-            act = ExpertAction(np.where(limp, 0.0, act.tau), np.where(limp, 0.0, act.tau_raw), act.phase)
-        return act
+        # one call for every gait: spec.name and cmd hold one name and one
+        # (vx, vy, wz) row per robot
+        limp = ((np.asarray(spec.name) == "trot") & (np.asarray(cmd)[..., 0] == 0.3))[..., None]
+        return ExpertAction(np.where(limp, 0.0, act.tau), np.where(limp, 0.0, act.tau_raw), act.phase)
 
     runs = []
 
@@ -84,14 +92,18 @@ def test_campaign_matches_per_robot_reference(model, contact, gains, monkeypatch
             assert np.array_equal(table[name].act, want_table[name].act)
 
 
-@pytest.mark.parametrize("gait", ["trot", "bound", "jump"])
+@pytest.mark.parametrize("gait", ["trot", "bound", "jump", "mixed"])
 def test_batch_equals_one_robot_calls(model, contact, gains, gait):
-    # six robots of one gait at different commands, pushed and with noisy
-    # targets, so they drift apart: every row of the batched expert and
-    # step is the one-robot call's, bit for bit
+    # robots at different commands, pushed and with noisy targets, so they
+    # drift apart: every row of the batched expert and step is the
+    # one-robot call's, bit for bit.  One gait's batch shares its spec;
+    # the mixed batch runs trot, bound, jump and walk robots (2, 4, 0 to 4
+    # and 3 stance feet) in one expert call
     rng = np.random.default_rng(21)
-    spec = make_gait(gait)
-    n = 6
+    names = ["trot", "bound", "jump", "walk"] * 2 if gait == "mixed" else [gait] * 6
+    specs = [make_gait(name) for name in names]
+    spec = stack_gaits(specs) if gait == "mixed" else specs[0]
+    n = len(specs)
     cmds = np.column_stack((rng.uniform(-0.3, 0.3, n), rng.uniform(-0.1, 0.1, n), rng.uniform(-0.4, 0.4, n)))
     robots = []
     for _ in range(n):
@@ -100,6 +112,7 @@ def test_batch_equals_one_robot_calls(model, contact, gains, gait):
         state.q += 0.01 * rng.standard_normal(12)
         robots.append(state)
     batch = SimState.stack(robots)
+    stance_counts = set()
     for i in range(300):
         if i % 100 == 60:
             batch = batch.copy()
@@ -111,13 +124,62 @@ def test_batch_equals_one_robot_calls(model, contact, gains, gait):
         target += 0.05 * rng.standard_normal((n, 12))
         batch = step(batch, model, contact, target, 1e-3)
         for k in range(n):
-            one = expert_torques(robots[k], model, spec, VelocityCommand(*cmds[k]), robots[k].time,
+            one = expert_torques(robots[k], model, specs[k], VelocityCommand(*cmds[k]), robots[k].time,
                                  gains, contact.mu)
             assert same_bits(act.tau_raw[k], one.tau_raw) and same_bits(act.tau[k], one.tau), (i, k)
+            stance_counts.add(int(gait_phase(specs[k], robots[k].time)[1].sum()))
             robots[k] = step(robots[k], model, contact, target[k], 1e-3)
             for name in FIELDS:
                 assert same_bits(getattr(batch, name)[k], getattr(robots[k], name)), (name, i, k)
     assert (batch.foot_force[..., 2] > 0.0).any()
+    if gait == "mixed":
+        assert stance_counts == {0, 2, 3, 4}
+
+
+def test_mixed_campaign_with_leaving_robots_matches_per_robot_reference(model, contact, gains,
+                                                                        monkeypatch):
+    # robots of four gaits with their own horizons leave the batch one
+    # after another, so the stacked gaits are rebuilt for every smaller
+    # batch; each robot's run is still bitwise its lone reference run
+    plan = CollectionPlan(gaits=[make_gait("trot")], push_interval=0.05, settle_time=0.01)
+    robots, seeds = [], []
+    for k, (name, n_samples) in enumerate([("trot", 40), ("bound", 260), ("jump", 120), ("walk", 200),
+                                           ("walk", 40), ("jump", 300), ("bound", 80), ("trot", 160)]):
+        seeds.append(np.random.SeedSequence([3, k]))
+        robots.append((make_gait(name), VelocityCommand(0.05 * (k - 3), 0.02, 0.1), 10, n_samples,
+                       np.random.default_rng(seeds[-1])))
+    sizes = []
+
+    def counting(state, model, spec, cmd, t, gains, mu):
+        sizes.append(len(spec.name))
+        return expert_torques(state, model, spec, cmd, t, gains, mu)
+
+    monkeypatch.setattr(dataset, "expert_torques", counting)
+    results = dataset._run_experts(model, contact, robots, 1e-3, gains, plan)
+    assert sorted(set(sizes), reverse=True) == [8, 6, 5, 4, 3, 2, 1]
+    for (spec, cmd, n_settle, n_samples, _), seed, got in zip(robots, seeds, results):
+        want = solo.run_expert_trajectory(model, contact, spec, cmd, n_settle * 1e-3, n_samples, 1e-3,
+                                          gains, rng=np.random.default_rng(seed), plan=plan)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]) and got[2] == want[2]
+
+
+def test_survival_reasons_match_per_robot_reference(model):
+    # upright, too low, too high, rolled, pitched and both tilts at once,
+    # alone and under a bad height: the reasons of a batch, and of each
+    # robot alone, are the reference's text with its precedence
+    cases = []
+    for height in (0.3, 0.1, 0.5):
+        for roll, pitch in ((0.0, 0.0), (0.7, 0.0), (-0.65, 0.0), (0.0, 0.61), (0.0, -0.8), (0.9, -0.9)):
+            state = nominal_stance_state(model)
+            state.base_pos[2] = height
+            # R = R_y(pitch) R_x(roll), the ZYX order rpy_from_matrix reads
+            state.base_quat = quat_multiply(quat_from_rotvec(np.array([0.0, pitch, 0.0])),
+                                            quat_from_rotvec(np.array([roll, 0.0, 0.0])))
+            cases.append(state)
+    want = [solo.survival_violation(state, model) for state in cases]
+    assert want.count(None) == 1 and want[5] == "roll +0.900 rad"
+    assert survival_violation(SimState.stack(cases), model) == want
+    assert [survival_violation(state, model) for state in cases] == want
 
 
 def test_robot_leaves_without_stopping_the_others(model, contact):
