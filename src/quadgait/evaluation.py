@@ -19,6 +19,7 @@ from .simulation import (
     SimState,
     contact_flags,
     nominal_stance_state,
+    quat_to_matrix,
     read_imu,
     simulate,
 )
@@ -186,7 +187,7 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
 
     def track(live, state):
         if state.time - start_time > transient:
-            vel_body = state.rotation().T @ state.base_lin_vel
+            vel_body = quat_to_matrix(state.base_quat).T @ state.base_lin_vel
             track_vx.append(abs(vel_body[0] - cmd.vx))
             track_vy.append(abs(vel_body[1] - cmd.vy))
             heights.append(state.base_pos[2])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, stack_gaits, swing_trajectory
+from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, swing_trajectory
 from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, matvec
 from .simulation import SimState, rpy_from_matrix
 
@@ -204,9 +204,9 @@ def expert_torques(
 ) -> ExpertAction:
     """Expert joint torques at time t (deterministic, stateless).
 
-    `state` holds one robot or a batch at time t.  `spec` is one gait for
-    all of them, or `stack_gaits` of one per robot, so one call serves
-    robots of different gaits.  `cmd` is one VelocityCommand, or an
+    `state` holds one robot or a batch at time t.  `spec` is the robot's
+    gait, or for a batch `stack_gaits` of one per robot, so one call
+    serves robots of different gaits.  `cmd` is one VelocityCommand, or an
     (n, 3) array of (vx, vy, wz) rows, one per robot.  A batch gets
     (n, 12) torques.
     """
@@ -216,9 +216,7 @@ def expert_torques(
     wz = vx_vy_wz[2]
     R = state.rotation()
     RT = R.swapaxes(-1, -2)  # views keep the layout of R.T, which selects the BLAS kernel
-    spec = stack_gaits([spec] * batch[0]) if batch and np.ndim(spec.duty) == 0 else spec  # one gait for all
     leg_phase, in_stance = gait_phase(spec, t)
-    swing = ~in_stance
     f_des, tau_des, cmd_world = _desired_wrench(state, model, spec, vx_vy_wz, gains, R)
     q_legs, v_legs = state.q.reshape(batch + (4, 3)), state.v.reshape(batch + (4, 3))
     base = state.base_pos[..., None, :]
@@ -230,8 +228,8 @@ def expert_torques(
     n_stance = in_stance.sum(-1)
     for k in set(np.ravel(n_stance).tolist()) - {0}:
         robots = n_stance == k if batch else ()  # () takes the one robot as it is
-        feet = in_stance & (n_stance == k)[..., None]
-        row = np.nonzero(feet)[:-1]  # the robot of each row, as `robots` picks it
+        feet = np.nonzero(in_stance & (n_stance == k)[..., None])
+        row = feet[:-1]  # the robot of each row, as `robots` picks it
         arms = state.base_pos[row] + matvec(R[row], foot_body[feet]) - state.base_pos[row]
         forces = allocate_stance_forces((f_des[robots], tau_des[robots]), arms, mu,
                                         torque_weight=gains.torque_weight)
@@ -253,8 +251,9 @@ def expert_torques(
     hold_world[..., :2] += lead[..., None] * hip_vel_cmd[..., :2]
     ik_legs = np.tile(LEGS, batch[0]) if batch else LEGS
     p_ik = matvec(RT[..., None, :, :], hold_world - base).reshape(-1, 3)
-    *robot, leg = np.nonzero(swing)  # swing rows: the (robot, leg) pairs outside stance
-    robot, rows, duty = tuple(robot), spec, spec.duty  # (), the spec and its duty for one robot
+    swing = np.nonzero(~in_stance)  # swing rows: the (robot, leg) pairs outside stance
+    robot, leg = swing[:-1], swing[-1]
+    rows, duty = spec, spec.duty  # the spec and its duty for one robot
     if leg.size:
         if batch:  # the gait values of each swing row
             rows = copy.copy(spec)
@@ -262,10 +261,10 @@ def expert_torques(
                                                          spec.swing_height[robot])
             duty = rows.duty[:, 0]
         s = (leg_phase[swing] - duty) / (1.0 - duty)
-        target = raibert_target(hip_vel_cmd[swing], rows, hip_world[swing], state.base_lin_vel[robot],
-                                gains.k_raibert)
+        vel_cmd = hip_vel_cmd[swing]
+        target = raibert_target(vel_cmd, rows, hip_world[swing], state.base_lin_vel[robot], gains.k_raibert)
         start = ground[swing]
-        start[..., :2] -= 0.5 * (rows.duty * rows.period) * hip_vel_cmd[swing][..., :2]
+        start[..., :2] -= 0.5 * (rows.duty * rows.period) * vel_cmd[..., :2]
         swing_world = swing_trajectory(rows, start, target, s)
         ik_legs = np.concatenate((ik_legs, leg))
         p_ik = np.concatenate((p_ik, matvec(RT[robot], swing_world - state.base_pos[robot])))
@@ -290,7 +289,7 @@ def expert_torques(
         tau_raw[swing] = blend * tau_swing + (1.0 - blend) * tau_hold[swing]
 
     tau_raw = tau_raw.reshape(batch + (12,))
-    tau = np.minimum(np.maximum(tau_raw, -model.tau_max), model.tau_max)  # np.clip's bits, faster
+    tau = np.clip(tau_raw, -model.tau_max, model.tau_max)
     return ExpertAction(tau=tau, tau_raw=tau_raw, phase=np.mod(t / spec.period, 1.0))
 
 

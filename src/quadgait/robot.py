@@ -227,7 +227,7 @@ def leg_inverse_kinematics_rows(
         r_sq = np.where(far, r_new * r_new, r_sq)
 
     cos_knee = (r_sq - lt * lt - lc * lc) / (2.0 * lt * lc)
-    q2 = -np.arccos(np.minimum(np.maximum(cos_knee, -1.0), 1.0))  # np.clip's bits, faster
+    q2 = -np.arccos(np.clip(cos_knee, -1.0, 1.0))
     q1 = np.arctan2(-x, planar) - np.arctan2(lc * np.sin(q2), lt + lc * np.cos(q2))
 
     # wrap q0 into (-pi, pi]

@@ -188,7 +188,7 @@ def nominal_stance_state(
 def pd_torque(model: RobotModel, target: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """tau = kp (target - q) - kd v, clamped to +-tau_max per joint."""
     tau = model.kp * (np.asarray(target) - q) - model.kd * v
-    return np.minimum(np.maximum(tau, -model.tau_max), model.tau_max)  # np.clip's bits, faster
+    return np.clip(tau, -model.tau_max, model.tau_max)
 
 
 def _contact_forces(

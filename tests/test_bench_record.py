@@ -18,14 +18,14 @@ def _tool():
     return module
 
 
-def _write(checkout, workload, seed, trace, values, when, correct=True, errors=()):
+def _write(checkout, workload, seed, trace, values, when, correct=True, errors=(), pid=1):
     results = checkout / ".perfbench_out" / "results"
     results.mkdir(parents=True, exist_ok=True)
     record = {"workload": workload, "trace": trace, "seconds": 30.0,
               "environment": {"numpy": "2.x", "seed": seed}, "errors": list(errors), "failures": [],
               "result": {"correct": correct, "attempted": 4, "failed": 0,
                          "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}}
-    path = results / f"{workload}-s{seed}-t{trace}-p1.json"
+    path = results / f"{workload}-s{seed}-t{trace}-p{pid}.json"
     path.write_text(json.dumps(record))
     os.utime(path, (when, when))
 
@@ -56,3 +56,15 @@ def test_pairs_by_workload_and_seed(tmp_path):
     assert record["per_layer"]["clone"]["change"]["metrics"] == {"network.elu.self_s": 0.4}
     assert (record["parent_sha"], record["change_sha"]) == ("aaa", "bbb")
     assert record["environment"] == {"numpy": "2.x"}
+
+
+def test_seed_run_twice_on_one_side_is_an_error(tmp_path):
+    # a retry would otherwise replace the earlier run, and the record would
+    # no longer report every run made
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        _write(checkout, "collect", 11, 0, {"stage_s": 4.0}, 1000)
+    _write(change, "collect", 11, 0, {"stage_s": 3.0}, 1002, pid=2)
+    with pytest.raises(SystemExit, match=r"collect seed 11 \(trace 0\) ran more than once.*"
+                                         r"collect-s11-t0-p1.json, collect-s11-t0-p2.json"):
+        _tool().build(14, parent, change, "aaa", "bbb")

@@ -96,13 +96,13 @@ def test_campaign_matches_per_robot_reference(model, contact, gains, monkeypatch
 def test_batch_equals_one_robot_calls(model, contact, gains, gait):
     # robots at different commands, pushed and with noisy targets, so they
     # drift apart: every row of the batched expert and step is the
-    # one-robot call's, bit for bit.  One gait's batch shares its spec;
-    # the mixed batch runs trot, bound, jump and walk robots (2, 4, 0 to 4
-    # and 3 stance feet) in one expert call
+    # one-robot call's, bit for bit.  The mixed batch runs trot, bound,
+    # jump and walk robots (2, 4, 0 to 4 and 3 stance feet) in one expert
+    # call
     rng = np.random.default_rng(21)
     names = ["trot", "bound", "jump", "walk"] * 2 if gait == "mixed" else [gait] * 6
     specs = [make_gait(name) for name in names]
-    spec = stack_gaits(specs) if gait == "mixed" else specs[0]
+    spec = stack_gaits(specs)
     n = len(specs)
     cmds = np.column_stack((rng.uniform(-0.3, 0.3, n), rng.uniform(-0.1, 0.1, n), rng.uniform(-0.4, 0.4, n)))
     robots = []

@@ -28,14 +28,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_records(checkout: Path) -> dict:
-    """{(workload, trace, seed): (record, mtime)}; a later run of the same
-    key replaces an earlier one."""
-    records = {}
-    for path in sorted((checkout / ".perfbench_out" / "results").glob("*.json"),
-                       key=lambda p: p.stat().st_mtime):
+    """{(workload, trace, seed): (record, mtime)}.  A key run twice on one
+    side is an error: the record reports every run made, and which of two
+    runs to pair is not for this tool to choose."""
+    records, paths = {}, {}
+    for path in sorted((checkout / ".perfbench_out" / "results").glob("*.json")):
         record = json.loads(path.read_text())
         key = (record["workload"], record["trace"], record["environment"]["seed"])
-        records[key] = (record, path.stat().st_mtime)
+        if key in records:
+            sys.exit(f"bench_record: {key[0]} seed {key[2]} (trace {key[1]}) ran more than once "
+                     f"in {checkout}: {paths[key].name}, {path.name}")
+        records[key], paths[key] = (record, path.stat().st_mtime), path
     return records
 
 
@@ -82,8 +85,9 @@ def workload_entry(pairs: list, metrics: list[dict]) -> dict:
     return entry
 
 
-def build(pr: int, parent_dir: Path, change_dir: Path, parent_sha: str | None,
-          change_sha: str | None) -> dict:
+def build(pr: int, parent_dir: Path, change_dir: Path, parent_sha: str | None = None,
+          change_sha: str | None = None) -> dict:
+    """The BENCH record; the SHAs default to each checkout's HEAD."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent, change = load_records(parent_dir), load_records(change_dir)
     common = sorted(set(parent) & set(change))
@@ -126,11 +130,9 @@ def main(argv=None) -> int:
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
     p.add_argument("--change", type=Path, required=True, help="the change's checkout")
-    p.add_argument("--parent-sha", help="default: git rev-parse HEAD in the parent's checkout")
-    p.add_argument("--change-sha", help="default: git rev-parse HEAD in the change's checkout")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    record = build(args.pr, args.parent, args.change, args.parent_sha, args.change_sha)
+    record = build(args.pr, args.parent, args.change)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
