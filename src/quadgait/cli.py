@@ -1,6 +1,17 @@
 """Command-line pipeline: collect -> train -> eval -> rollout/switch.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+`main` loads the config (with `--seed` applied), answers
+`--print-config`, resolves `--gaits` and runs the command.  An error
+ends the run with one stderr line and the exit code `ERRORS` gives it:
+
+- 0: success.
+- 2: a config file that is unreadable (missing, a directory, not UTF-8)
+  or invalid (`config error:`); an unknown gait, a command outside the
+  expert envelope or a bad scenario line (`error:`).
+- 3: an unreadable or unwritable data, model, scenario or output path,
+  a damaged or mismatched file, or a gait the model has no head for.
+- 4: any other failure: a failed expert gate or collection, a
+  non-finite loss, a rollout that does not survive.
 """
 
 from __future__ import annotations
@@ -12,8 +23,8 @@ from pathlib import Path
 from . import dataset as ds
 from . import evaluation as ev
 from . import network as nn
-from .config import RunConfig, _validate, load_config
-from .errors import ConfigError, FileFormatError, NonFiniteLoss, QuadGaitError, ShapeMismatch, UnknownTask
+from .config import _validate, load_config
+from .errors import ConfigError, FileFormatError, QuadGaitError, ShapeMismatch, UnknownTask
 from .gait import GAIT_NAMES, VelocityCommand
 
 EXIT_OK = 0
@@ -22,34 +33,24 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_cfg(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        cfg.values["seed"] = args.seed
-        _validate(cfg)  # the training-grid subsample depends on the seed
-    return cfg
+class UsageError(QuadGaitError):
+    """Bad command-line input: an unknown gait, a command outside the
+    expert envelope, or a bad line in the scenario file."""
 
 
-def _maybe_print_config(args, cfg: RunConfig) -> bool:
-    if getattr(args, "print_config", False):
-        sys.stdout.write(cfg.dump())
-        return True
-    return False
+# (exception classes, stderr prefix, exit code); the first match wins
+ERRORS = [
+    (ConfigError, "config error:", EXIT_USAGE),
+    (UsageError, "error:", EXIT_USAGE),
+    ((OSError, FileFormatError, UnknownTask), "error:", EXIT_DATA),
+    (QuadGaitError, "error:", EXIT_NUMERIC),
+]
 
 
-def cmd_collect(args) -> int:
-    cfg = _load_cfg(args)
-    if _maybe_print_config(args, cfg):
-        return EXIT_OK
-    gaits = args.gaits.split(",") if args.gaits else cfg.gait_names()
-    for name in gaits:
-        if name not in GAIT_NAMES:
-            print(f"error: unknown gait '{name}'", file=sys.stderr)
-            return EXIT_USAGE
+def cmd_collect(args, cfg, gaits) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plan = cfg.plan(gaits)
-    train, holdout, report = ds.collect(plan, cfg.robot(), cfg.contact(), cfg["sim.dt"],
+    train, holdout, report = ds.collect(cfg.plan(gaits), cfg.robot(), cfg.contact(), cfg["sim.dt"],
                                         cfg.expert_gains())
     for split, table in (("train", train), ("holdout", holdout)):
         for name, data in table.items():
@@ -70,27 +71,12 @@ def _load_policy(path) -> nn.MtlNetwork:
     return net
 
 
-def _load_split(data_dir: Path, gaits: list[str], split: str) -> dict[int, ds.Dataset]:
-    out = {}
-    for i, name in enumerate(gaits):
-        path = data_dir / f"{name}_{split}.qgd"
-        if not path.exists():
-            raise FileNotFoundError(path)
-        out[i] = ds.read_dataset(path)
-    return out
+def _load_split(data_dir, gaits: list[str], split: str) -> dict[int, ds.Dataset]:
+    return {i: ds.read_dataset(Path(data_dir) / f"{name}_{split}.qgd") for i, name in enumerate(gaits)}
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    if _maybe_print_config(args, cfg):
-        return EXIT_OK
-    gaits = args.gaits.split(",") if args.gaits else cfg.gait_names()
-    data_dir = Path(args.data)
-    try:
-        tasks = _load_split(data_dir, gaits, "train")
-    except (FileNotFoundError, FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+def cmd_train(args, cfg, gaits) -> int:
+    tasks = _load_split(args.data, gaits, "train")
     arch = cfg.arch(num_tasks=len(tasks), kind=args.arch)
     tcfg = cfg.train_config()
     if args.epochs is not None:
@@ -101,11 +87,7 @@ def cmd_train(args) -> int:
         vl = sum(val_loss.values())
         print(f"epoch {epoch:3d}  train {tl:.6e}  val {vl:.6e}")
 
-    try:
-        net, history = nn.train(tasks, arch, tcfg, log_fn=progress if args.verbose else None)
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    net, history = nn.train(tasks, arch, tcfg, log_fn=progress if args.verbose else None)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     nn.save_weights(out, net)
@@ -115,32 +97,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    if _maybe_print_config(args, cfg):
-        return EXIT_OK
-    gaits = args.gaits.split(",") if args.gaits else cfg.gait_names()
+def cmd_eval(args, cfg, gaits) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        net = _load_policy(args.model)
-        holdout = _load_split(Path(args.data), gaits, "holdout")
-    except (FileNotFoundError, FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        metrics, _joint_r2, traj = ev.evaluate_model(net, holdout, gaits)
-    except UnknownTask as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    net = _load_policy(args.model)
+    holdout = _load_split(args.data, gaits, "holdout")
+    metrics, _joint_r2, traj = ev.evaluate_model(net, holdout, gaits)
     rows = [(m.task, "holdout", m) for m in metrics]
     if args.baseline:
-        try:
-            base = _load_policy(args.baseline)
-            base_metrics, _, _ = ev.evaluate_model(base, holdout, gaits)
-        except (FileNotFoundError, FileFormatError, UnknownTask) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        base_metrics, _, _ = ev.evaluate_model(_load_policy(args.baseline), holdout, gaits)
         rows += [(m.task, "holdout_baseline", m) for m in base_metrics]
     ev.write_metrics_csv(out / "metrics.csv", rows)
     ev.write_traj_csv(out / "traj_fl.csv", traj)
@@ -149,48 +114,33 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _rollout_common(args, scenario_events) -> int:
-    cfg = _load_cfg(args)
-    if _maybe_print_config(args, cfg):
-        return EXIT_OK
-    gaits = args.gaits.split(",") if args.gaits else cfg.gait_names()
+def _rollout_common(args, cfg, gaits, scenario_events) -> int:
     if args.duration is None:
         args.duration = cfg["eval.rollout_duration"]
     model, contact = cfg.robot(), cfg.contact()
     specs = {name: cfg.gait(name) for name in GAIT_NAMES}
     task_ids = {name: i for i, name in enumerate(gaits)}
-
-    net = None
-    if not getattr(args, "expert", False):
-        try:
-            net = _load_policy(args.model)
-        except (FileNotFoundError, FileFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+    net = None if getattr(args, "expert", False) else _load_policy(args.model)
 
     log = None
     if args.log:
         from .simulation import RolloutLog
 
         log = RolloutLog()
-    try:
-        if net is None:
-            t, gait, cmd = scenario_events[0]
-            _state, summary = ev.closed_loop_rollout(
-                model, contact, specs[gait], cmd, args.duration,
-                net=None, expert_gains=cfg.expert_gains(), dt=cfg["sim.dt"],
-                transient=cfg["eval.transient"], log_target=log,
-            )
-            segments = [(gait, cmd, summary)]
-        else:
-            scenario = ev.SwitchScenario(events=scenario_events, duration=args.duration)
-            segments = ev.run_switch_scenario(
-                net, model, contact, scenario, specs, task_ids,
-                dt=cfg["sim.dt"], transient=cfg["eval.transient"], log_target=log,
-            )
-    except UnknownTask as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    if net is None:
+        t, gait, cmd = scenario_events[0]
+        _state, summary = ev.closed_loop_rollout(
+            model, contact, specs[gait], cmd, args.duration,
+            net=None, expert_gains=cfg.expert_gains(), dt=cfg["sim.dt"],
+            transient=cfg["eval.transient"], log_target=log,
+        )
+        segments = [(gait, cmd, summary)]
+    else:
+        scenario = ev.SwitchScenario(events=scenario_events, duration=args.duration)
+        segments = ev.run_switch_scenario(
+            net, model, contact, scenario, specs, task_ids,
+            dt=cfg["sim.dt"], transient=cfg["eval.transient"], log_target=log,
+        )
     if log is not None:
         log.write_csv(args.log)
     ok = all(s.survived for _, _, s in segments) and segments
@@ -203,30 +153,24 @@ def _rollout_common(args, scenario_events) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def cmd_rollout(args) -> int:
+def cmd_rollout(args, cfg, gaits) -> int:
     try:
         cmd = VelocityCommand(args.vx, args.vy, args.wz)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
     if args.gait not in GAIT_NAMES:
-        print(f"error: unknown gait '{args.gait}'", file=sys.stderr)
-        return EXIT_USAGE
-    return _rollout_common(args, [(0.0, args.gait, cmd)])
+        raise UsageError(f"unknown gait '{args.gait}'")
+    return _rollout_common(args, cfg, gaits, [(0.0, args.gait, cmd)])
 
 
-def cmd_switch(args) -> int:
-    try:
-        with open(args.scenario) as fh:
+def cmd_switch(args, cfg, gaits) -> int:
+    with open(args.scenario) as fh:
+        try:
             scenario = ev.parse_scenario(fh.read(), duration=args.duration)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        except ValueError as exc:  # a bad line, or a file that is not text
+            raise UsageError(exc) from None
     args.duration = scenario.duration
-    return _rollout_common(args, scenario.events)
+    return _rollout_common(args, cfg, gaits, scenario.events)
 
 
 def _add_common(p):
@@ -288,19 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "rollout" and not args.expert and not args.model:
+    if args.command == "rollout" and not args.expert and not args.model:
         parser.error("rollout needs --model or --expert")
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except QuadGaitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.values["seed"] = args.seed
+            _validate(cfg)  # the training-grid subsample depends on the seed
+        if args.print_config:
+            sys.stdout.write(cfg.dump())
+            return EXIT_OK
+        gaits = args.gaits.split(",") if args.gaits else cfg.gait_names()
+        for name in gaits:
+            if name not in GAIT_NAMES:
+                raise UsageError(f"unknown gait '{name}'")
+        return args.func(args, cfg, gaits)
+    except (QuadGaitError, OSError) as exc:
+        prefix, code = next((prefix, code) for types, prefix, code in ERRORS if isinstance(exc, types))
+        print(f"{prefix} {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

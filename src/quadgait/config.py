@@ -223,12 +223,18 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path=None) -> RunConfig:
+    """The defaults, or the config file at `path`; a file that cannot be
+    read as UTF-8 text raises ConfigError."""
     if path is None:
         cfg = RunConfig()
         _validate(cfg)
         return cfg
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return parse_config(text)
 
 
 def _validate(cfg: RunConfig):

@@ -229,9 +229,7 @@ def _run_experts(model, contact, robots, dt, gains, plan):
     def control(i, live, prev, state):
         if len(live) not in gaits_of:
             gaits_of[len(live)] = stack_gaits([specs[j] for j in live])
-        tau = expert_torques(state, model, gaits_of[len(live)], cmds[live], state.time, gains,
-                             contact.mu).tau_raw
-        target = inverse_pd_target(tau, state.q, state.v, model.kp, model.kd)
+        target, tau = expert_target(model, contact, gaits_of[len(live)], cmds[live], gains, state)
         k = i - n_settle[live]
         rec = k >= 0
         if rec.any():

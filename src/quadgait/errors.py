@@ -14,10 +14,6 @@ class Unreachable(QuadGaitError):
         super().__init__(f"foot target {target} outside workspace (max radius {max_radius:.4f} m)")
 
 
-class RankDeficient(QuadGaitError):
-    """Requested stance wrench is unachievable beyond tolerance."""
-
-
 class Diverged(QuadGaitError):
     """Simulation state became non-finite or left the sane region, or
     (with a reason) the robot left the survival band."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient
 from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, swing_trajectory
 from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, matvec
 from .simulation import SimState, rpy_from_matrix
@@ -55,13 +54,11 @@ class ExpertGains:
 
 @dataclass
 class ExpertAction:
-    """Expert output: clamped torque, the raw pre-clamp torque used to
-    derive supervised targets, and the global gait phase (diagnostic
-    only, never part of the observation; (n, 1) for stacked gaits)."""
+    """Expert output: clamped torque, and the raw pre-clamp torque used
+    to derive supervised targets."""
 
     tau: np.ndarray
     tau_raw: np.ndarray
-    phase: float | np.ndarray
 
 
 def allocate_stance_forces(
@@ -69,7 +66,6 @@ def allocate_stance_forces(
     foot_positions: list[np.ndarray],
     mu: float,
     lam: float = 1e-9,
-    residual_tol: float | None = None,
     torque_weight: float = 1.0,
     project: bool = True,
 ) -> np.ndarray:
@@ -86,13 +82,10 @@ def allocate_stance_forces(
     collinear feet mid-gait) it biases the compromise toward attitude
     over support, which is what keeps a bounding body from rocking over.
     project=False returns the raw least-squares solution (no pull
-    drop-out, no cone), which is what residual checks want.
-
-    With residual_tol set, an unachievable wrench component larger than
-    the tolerance raises RankDeficient (e.g. torque about the line
-    through a two-foot stance); by default the best-fit solution is
-    returned, which is what the gait expert wants mid-trot.  A batch
-    passes feet (n, ns, 3) and wrench parts (n, 3).
+    drop-out, no cone), which is what residual checks want.  An
+    unachievable wrench (torque about the line through a two-foot
+    stance) gets its best fit, which is what the gait expert wants
+    mid-trot.  A batch passes feet (n, ns, 3) and wrench parts (n, 3).
     """
     feet = np.asarray(foot_positions, float).reshape(np.shape(desired_wrench[0])[:-1] + (-1, 3))
     ns = feet.shape[-2]
@@ -116,17 +109,9 @@ def allocate_stance_forces(
         # refinement passes remove the Tikhonov bias on the achievable part
         for _ in range(2):
             F = F + matvec(GT, np.linalg.solve(A, (ww - matvec(G, F))[..., None])[..., 0])
-        return F.reshape(feet.shape), G
+        return F.reshape(feet.shape)
 
-    forces, G = solve(w, feet)
-
-    if residual_tol is not None:
-        residual = w - matvec(G / row_scale[:, None], forces.reshape(w.shape[:-1] + (-1,)))
-        if np.max(np.abs(residual)) > residual_tol:
-            raise RankDeficient(
-                f"wrench residual {np.max(np.abs(residual)):.3e} exceeds {residual_tol:.1e}"
-            )
-
+    forces = solve(w, feet)
     if project:
         # active-set pass: feet asked to pull are dropped and the rest
         # re-solved, which keeps the achieved wrench honest before cone
@@ -136,7 +121,7 @@ def allocate_stance_forces(
         for r in np.flatnonzero(pulling.any(axis=1) & ~pulling.all(axis=1)):
             keep = np.flatnonzero(~pulling[r])
             rows[r] = 0.0
-            rows[r, keep] = solve(rows_w[r], rows_feet[r, keep])[0]
+            rows[r, keep] = solve(rows_w[r], rows_feet[r, keep])
 
         fz = forces[..., 2]
         fz = np.where(fz < 0.0, 0.0, fz)  # max(fz, 0.0), -0.0 kept
@@ -290,7 +275,7 @@ def expert_torques(
 
     tau_raw = tau_raw.reshape(batch + (12,))
     tau = np.clip(tau_raw, -model.tau_max, model.tau_max)
-    return ExpertAction(tau=tau, tau_raw=tau_raw, phase=np.mod(t / spec.period, 1.0))
+    return ExpertAction(tau=tau, tau_raw=tau_raw)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:

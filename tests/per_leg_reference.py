@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from quadgait.errors import Diverged, RankDeficient, Unreachable
+from quadgait.errors import Diverged, QuadGaitError, Unreachable
 from quadgait.expert import ExpertAction, ExpertGains
 from quadgait.gait import gait_phase
 from quadgait.robot import SIDE_SIGN, cross3
@@ -256,6 +256,10 @@ def _check_valid(state):
         raise Diverged(state.time)
 
 
+class RankDeficient(QuadGaitError):
+    """Requested stance wrench is unachievable beyond tolerance."""
+
+
 def allocate_stance_forces(desired_wrench, foot_positions, mu, lam=1e-9, residual_tol=None,
                            torque_weight=1.0, project=True):
     ns = len(foot_positions)
@@ -395,7 +399,7 @@ def expert_torques(state, model, spec, cmd, t, gains=None, mu=0.7):
             tau_raw[sl] = blend * tau_swing + (1.0 - blend) * tau_hold
 
     tau = np.clip(tau_raw, -model.tau_max, model.tau_max)
-    return ExpertAction(tau=tau, tau_raw=tau_raw, phase=float(np.mod(t / spec.period, 1.0)))
+    return ExpertAction(tau=tau, tau_raw=tau_raw)
 
 
 def _smoothstep(x):

@@ -280,6 +280,95 @@ class TestRolloutAndSwitch:
         assert rc == cli.EXIT_DATA
 
 
+class _Files:
+    """The paths an error case reads, and a writer for the files it needs."""
+
+    def __init__(self, cfg, collected, trained, narrow, tmp):
+        self.cfg, self.data, self.model, self.narrow, self.tmp = cfg, collected, trained, narrow, tmp
+
+    def write(self, name, content):
+        path = self.tmp / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return path
+
+    def corrupt_corpus(self):
+        """A train split whose trot file fails its CRC check."""
+        blob = bytearray((self.data / "trot_train.qgd").read_bytes())
+        blob[40] ^= 0xFF
+        self.write("corrupt/trot_train.qgd", bytes(blob))
+        return self.write("corrupt/bound_train.qgd", (self.data / "bound_train.qgd").read_bytes()).parent
+
+
+# id -> (exit code, stderr prefix, argv from a _Files)
+ERROR_CASES = {
+    "corrupt_qgd": (cli.EXIT_DATA, "error: ", lambda f: [
+        "train", "--config", f.cfg, "--data", f.corrupt_corpus(), "--out", f.tmp / "m.qmp"]),
+    "missing_qgd": (cli.EXIT_DATA, "error: ", lambda f: [
+        "train", "--config", f.cfg, "--data", f.tmp / "nope", "--out", f.tmp / "m.qmp"]),
+    "missing_model": (cli.EXIT_DATA, "error: ", lambda f: [
+        "eval", "--config", f.cfg, "--model", f.tmp / "no.qmp", "--data", f.data, "--out", f.tmp / "e"]),
+    "narrow_model": (cli.EXIT_DATA, "error: ", lambda f: [
+        "rollout", "--config", f.cfg, "--model", f.narrow, "--duration", "0.1"]),
+    "collect_unknown_gait": (cli.EXIT_USAGE, "error: ", lambda f: [
+        "collect", "--config", f.cfg, "--gaits", "gallop", "--out", f.tmp / "d"]),
+    "rollout_unknown_gait": (cli.EXIT_USAGE, "error: ", lambda f: [
+        "rollout", "--config", f.cfg, "--expert", "--gait", "gallop", "--duration", "0.1"]),
+    "scenario_unknown_gait": (cli.EXIT_DATA, "error: ", lambda f: [
+        "switch", "--config", f.cfg, "--model", f.model, "--duration", "0.1",
+        "--scenario", f.write("walk.txt", "0.0 walk 0.0 0 0\n")]),
+    "out_of_envelope": (cli.EXIT_USAGE, "error: ", lambda f: [
+        "rollout", "--config", f.cfg, "--expert", "--vx", "5", "--duration", "0.1"]),
+    "bad_scenario_line": (cli.EXIT_USAGE, "error: ", lambda f: [
+        "switch", "--config", f.cfg, "--model", f.model, "--duration", "0.1",
+        "--scenario", f.write("short.txt", "0.0 trot\n")]),
+    "scenario_not_utf8": (cli.EXIT_USAGE, "error: ", lambda f: [
+        "switch", "--config", f.cfg, "--model", f.model, "--duration", "0.1",
+        "--scenario", f.write("latin1.txt", "0.0 trot 0.0 0 0 # caf\xe9\n".encode("latin-1"))]),
+    "missing_scenario": (cli.EXIT_DATA, "error: ", lambda f: [
+        "switch", "--config", f.cfg, "--model", f.model, "--scenario", f.tmp / "none.txt"]),
+    "bad_config_key": (cli.EXIT_USAGE, "config error: ", lambda f: [
+        "collect", "--config", f.write("key.cfg", "robot.wheels = 4\n"), "--out", f.tmp / "d"]),
+    "bad_config_value": (cli.EXIT_USAGE, "config error: ", lambda f: [
+        "train", "--config", f.write("value.cfg", "train.hidden_width = 0\n"), "--data", f.data]),
+    "failed_gate": (cli.EXIT_NUMERIC, "error: ", lambda f: [
+        "collect", "--out", f.tmp / "d", "--config", f.write(
+            "sag.cfg", FAST_CONFIG + "data.samples_per_traj = 50\nexpert.kp_height = 0\n"
+            "expert.kd_height = 0\n")]),
+    # these six crashed with a traceback and exit 1
+    "missing_config": (cli.EXIT_USAGE, "config error: ", lambda f: [
+        "collect", "--config", f.tmp / "none.cfg", "--out", f.tmp / "d"]),
+    "config_is_dir": (cli.EXIT_USAGE, "config error: ", lambda f: [
+        "collect", "--config", f.tmp, "--out", f.tmp / "d"]),
+    "config_not_utf8": (cli.EXIT_USAGE, "config error: ", lambda f: [
+        "collect", "--config", f.write("latin1.cfg", "# caf\xe9\n".encode("latin-1")),
+        "--out", f.tmp / "d"]),
+    "scenario_is_dir": (cli.EXIT_DATA, "error: ", lambda f: [
+        "switch", "--config", f.cfg, "--model", f.model, "--scenario", f.tmp]),
+    "model_is_dir": (cli.EXIT_DATA, "error: ", lambda f: [
+        "rollout", "--config", f.cfg, "--model", f.tmp, "--duration", "0.1"]),
+    "out_is_file": (cli.EXIT_DATA, "error: ", lambda f: [
+        "collect", "--config", f.cfg, "--out", f.write("taken", "")]),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_error_is_one_line_with_exit_code(workspace, collected, trained, narrow_model, tmp_path,
+                                          capsys, case):
+    code, prefix, argv = ERROR_CASES[case]
+    _, cfg = workspace
+    argv = [str(a) for a in argv(_Files(cfg, collected, trained, narrow_model, tmp_path))]
+    capsys.readouterr()
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert rc == code
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
 class TestConfigPlumbing:
     def test_print_config(self, workspace, capsys):
         root, cfg = workspace

@@ -279,18 +279,10 @@ class TestCollection:
         np.testing.assert_allclose(recovered[mask], ds.act.astype(float)[mask], atol=1e-5)
 
     def test_reproducible(self, small_plan, model, contact, gains, collected):
-        train2, holdout2, _ = collect(small_plan, model, contact, 1e-3, gains)
-        train1, holdout1, _ = collected
+        train2, holdout2, report2 = collect(small_plan, model, contact, 1e-3, gains)
+        train1, holdout1, report1 = collected
         np.testing.assert_array_equal(train1["trot"].obs, train2["trot"].obs)
         np.testing.assert_array_equal(holdout1["trot"].act, holdout2["trot"].act)
-
-    def test_worker_count_does_not_change_result(self, small_plan, model, contact, gains, monkeypatch):
-        import quadgait.dataset as dataset
-
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: 1)
-        train1, holdout1, report1 = collect(small_plan, model, contact, 1e-3, gains)
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
-        train2, holdout2, report2 = collect(small_plan, model, contact, 1e-3, gains)
         for a, b in ((train1, train2), (holdout1, holdout2)):
             assert list(a) == list(b)
             for name in a:
@@ -298,15 +290,11 @@ class TestCollection:
                 np.testing.assert_array_equal(a[name].act, b[name].act)
         assert report1.summary() == report2.summary()
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_failed_gate_stops_collection(self, model, contact, cpus, monkeypatch):
+    def test_failed_gate_stops_collection(self, model, contact):
         # without a height loop the body sags out of the survival band
         # inside the 2 s gate: trot at about 1.6 s, bound at about 0.4 s.
-        # The gains reach the workers by pickling, and the error names
-        # the first failing gait in plan order, not the first to finish.
-        import quadgait.dataset as dataset
-
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: cpus)
+        # The gates run in one lockstep batch, and the error names the
+        # first failing gait in plan order, not the first to fall.
         plan = CollectionPlan(
             gaits=[make_gait("trot"), make_gait("bound")],
             vx_grid=[0.0, 0.2],
@@ -335,10 +323,9 @@ class TestCollection:
             act = real_expert(state, model, spec, cmd, t, gains, mu)
             limp = (np.asarray(cmd)[..., 0] == 0.3)[..., None]
             return ExpertAction(tau=np.where(limp, 0.0, act.tau),
-                                tau_raw=np.where(limp, 0.0, act.tau_raw), phase=act.phase)
+                                tau_raw=np.where(limp, 0.0, act.tau_raw))
 
         monkeypatch.setattr(dataset, "expert_torques", limp_at_vx_03)
-        monkeypatch.setattr(dataset, "expert_gate_check", lambda *args, **kwargs: True)
         plan = CollectionPlan(
             gaits=[make_gait("trot")],
             vx_grid=[-0.3, -0.2, -0.1, 0.0, 0.05, 0.1, 0.15, 0.2, 0.3],
@@ -349,9 +336,6 @@ class TestCollection:
             holdout_commands=[VelocityCommand(0.25, 0.0, 0.0)],
             seed=3,
         )
-        # one CPU keeps the cells in this process: worker processes
-        # would import the real expert
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: 1)
         train, holdout, report = collect(plan, model, contact, 1e-3, gains)
         assert report.cells_attempted == 10
         assert report.cells_diverged == 1

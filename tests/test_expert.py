@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from quadgait.errors import RankDeficient
 from quadgait.expert import allocate_stance_forces, expert_torques
 from quadgait.gait import VelocityCommand, make_gait, stand_spec
 from quadgait.dataset import inverse_pd_target
@@ -69,14 +68,6 @@ class TestAllocateStanceForces:
             achieved = wrench_of(forces, feet)
             assert np.max(np.abs(achieved - wrench)) < 1e-8
 
-    def test_rank_deficient_raises_with_tolerance(self):
-        # torque about the line through two feet is unachievable
-        feet = [np.array([0.2, 0.0, -0.3]), np.array([-0.2, 0.0, -0.3])]
-        wrench_f = np.array([0.0, 0.0, 100.0])
-        wrench_tau = np.array([5.0, 0.0, 0.0])  # roll about the foot line: y=0, z=-0.3
-        with pytest.raises(RankDeficient):
-            allocate_stance_forces((wrench_f, wrench_tau), feet, mu=10.0, residual_tol=1e-6)
-
     def test_friction_cone_projection(self):
         feet = [np.array([0.2, 0.1, -0.3]), np.array([-0.2, -0.1, -0.3])]
         forces = allocate_stance_forces(
@@ -108,13 +99,6 @@ class TestExpertTorques:
                             gains, contact.mu)
         np.testing.assert_array_equal(a1.tau, a2.tau)
         np.testing.assert_array_equal(a1.tau_raw, a2.tau_raw)
-        assert a1.phase == a2.phase
-
-    def test_phase_diagnostic(self, model, contact, gains):
-        spec = make_gait("trot")
-        act = expert_torques(nominal_stance_state(model), model, spec,
-                             VelocityCommand(), 0.3 * spec.period, gains, contact.mu)
-        assert act.phase == pytest.approx(0.3)
 
     def test_standing_oracle(self, model, contact, gains):
         state = nominal_stance_state(model)

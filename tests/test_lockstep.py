@@ -50,7 +50,7 @@ def test_campaign_matches_per_robot_reference(model, contact, gains, monkeypatch
 
     def limp_solo(state, model, spec, cmd, t, gains, mu):
         if spec.name == "trot" and cmd.vx == 0.3:
-            return ExpertAction(tau=np.zeros(12), tau_raw=np.zeros(12), phase=0.0)
+            return ExpertAction(tau=np.zeros(12), tau_raw=np.zeros(12))
         return solo.ref.expert_torques(state, model, spec, cmd, t, gains, mu)
 
     def limp_batch(state, model, spec, cmd, t, gains, mu):
@@ -58,7 +58,7 @@ def test_campaign_matches_per_robot_reference(model, contact, gains, monkeypatch
         # one call for every gait: spec.name and cmd hold one name and one
         # (vx, vy, wz) row per robot
         limp = ((np.asarray(spec.name) == "trot") & (np.asarray(cmd)[..., 0] == 0.3))[..., None]
-        return ExpertAction(np.where(limp, 0.0, act.tau), np.where(limp, 0.0, act.tau_raw), act.phase)
+        return ExpertAction(np.where(limp, 0.0, act.tau), np.where(limp, 0.0, act.tau_raw))
 
     runs = []
 
