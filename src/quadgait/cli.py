@@ -11,7 +11,9 @@ ends the run with one stderr line and the exit code `ERRORS` gives it:
 - 3: an unreadable or unwritable data, model, scenario or output path,
   a damaged or mismatched file, or a gait the model has no head for.
 - 4: any other failure: a failed expert gate or collection, a
-  non-finite loss, a rollout that does not survive.
+  non-finite loss.
+
+A rollout or switch that does not survive prints its summary and exits 4.
 """
 
 from __future__ import annotations
