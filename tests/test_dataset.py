@@ -279,10 +279,20 @@ class TestCollection:
         np.testing.assert_allclose(recovered[mask], ds.act.astype(float)[mask], atol=1e-5)
 
     def test_reproducible(self, small_plan, model, contact, gains, collected):
-        train2, holdout2, report2 = collect(small_plan, model, contact, 1e-3, gains)
-        train1, holdout1, report1 = collected
+        train2, holdout2, _ = collect(small_plan, model, contact, 1e-3, gains)
+        train1, holdout1, _ = collected
         np.testing.assert_array_equal(train1["trot"].obs, train2["trot"].obs)
         np.testing.assert_array_equal(holdout1["trot"].act, holdout2["trot"].act)
+
+    def test_worker_count_does_not_change_result(self, small_plan, model, contact, gains, monkeypatch):
+        # collect runs in this process whatever the CPU count; the
+        # result must not depend on it
+        import quadgait.dataset as dataset
+
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 1)
+        train1, holdout1, report1 = collect(small_plan, model, contact, 1e-3, gains)
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        train2, holdout2, report2 = collect(small_plan, model, contact, 1e-3, gains)
         for a, b in ((train1, train2), (holdout1, holdout2)):
             assert list(a) == list(b)
             for name in a:
@@ -290,11 +300,16 @@ class TestCollection:
                 np.testing.assert_array_equal(a[name].act, b[name].act)
         assert report1.summary() == report2.summary()
 
-    def test_failed_gate_stops_collection(self, model, contact):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_gate_stops_collection(self, model, contact, cpus, monkeypatch):
         # without a height loop the body sags out of the survival band
         # inside the 2 s gate: trot at about 1.6 s, bound at about 0.4 s.
-        # The gates run in one lockstep batch, and the error names the
-        # first failing gait in plan order, not the first to fall.
+        # The gates run in one lockstep batch whatever the CPU count, and
+        # the error names the first failing gait in plan order, not the
+        # first to fall.
+        import quadgait.dataset as dataset
+
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: cpus)
         plan = CollectionPlan(
             gaits=[make_gait("trot"), make_gait("bound")],
             vx_grid=[0.0, 0.2],
