@@ -2,8 +2,8 @@
 policy: train a small multi-task network on trot and bound, roll it out
 through the PD loop at 1 kHz, then switch heads mid-run.
 
-Smaller than the acceptance-scale run but end to end; expect a couple of
-minutes of collection and training first.
+Smaller than the acceptance-scale run but end to end; expect about half a
+minute of collection and training first.
 
 Run:  python3 demos/05_gait_switching.py
 """
@@ -69,9 +69,14 @@ def main():
     )
     for gait, cmd, seg in segments:
         print(f"segment {gait:6s}: survived={seg.survived} "
-              f"({seg.survival_time:.2f} s), mean height {seg.mean_height:.3f} m")
+              f"({seg.survival_time:.2f}/{seg.duration:.2f} s), mean height {seg.mean_height:.3f} m")
     log.write_csv("switch_rollout.csv")
-    print("wrote switch_rollout.csv (contact columns show the pattern change at t=3 s)")
+    trot = segments[0][2]
+    if trot.survived:
+        print("wrote switch_rollout.csv (contact columns show the pattern change at t=3 s)")
+    else:
+        print(f"wrote switch_rollout.csv (the trot segment fell at t={trot.survival_time:.2f} s, "
+              "before the switch at t=3 s)")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ A rollout or switch that does not survive prints its summary and exits 4.
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 
@@ -51,9 +52,11 @@ ERRORS = [
 
 def cmd_collect(args, cfg, gaits) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():  # mkdir's error, before the collection
+        raise FileExistsError(errno.EEXIST, "File exists", str(out))
     train, holdout, report = ds.collect(cfg.plan(gaits), cfg.robot(), cfg.contact(), cfg["sim.dt"],
                                         cfg.expert_gains())
+    out.mkdir(parents=True, exist_ok=True)
     for split, table in (("train", train), ("holdout", holdout)):
         for name, data in table.items():
             ds.write_dataset(out / f"{name}_{split}.qgd", data)
@@ -100,8 +103,6 @@ def cmd_train(args, cfg, gaits) -> int:
 
 
 def cmd_eval(args, cfg, gaits) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     net = _load_policy(args.model)
     holdout = _load_split(args.data, gaits, "holdout")
     metrics, _joint_r2, traj = ev.evaluate_model(net, holdout, gaits)
@@ -109,6 +110,8 @@ def cmd_eval(args, cfg, gaits) -> int:
     if args.baseline:
         base_metrics, _, _ = ev.evaluate_model(_load_policy(args.baseline), holdout, gaits)
         rows += [(m.task, "holdout_baseline", m) for m in base_metrics]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ev.write_metrics_csv(out / "metrics.csv", rows)
     ev.write_traj_csv(out / "traj_fl.csv", traj)
     for task, split, m in rows:

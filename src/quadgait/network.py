@@ -56,31 +56,18 @@ def _openblas_threads():
     return None
 
 
-def _one_blas_thread():
-    """Limit OpenBLAS to one thread in this process (no-op without a
-    bundled OpenBLAS).
-
-    train_many runs this in each of its workers, which start one per
-    usable CPU: with OpenBLAS's default pool as well, the threads
-    outnumber the cores, and an epoch on 3 x 18k records took 5.6 s
-    with two BLAS threads on a 2-core machine with one competing
-    process, against 1.8 s with one.  The thread count does not change
-    the trained weights.
-    """
-    ctl = _openblas_threads()
-    if ctl is not None:
-        ctl[1](1)
-
-
 def elu(x):
-    """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise."""
+    """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise.  No
+    np.where (it mispredicts on mixed signs): expm1(0) = 0 exactly."""
     x = np.asarray(x, dtype=float)
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    out = np.expm1(np.minimum(x, 0.0))
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def elu_grad(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    """exp(min(x, 0)): 1 for x > 0, exactly, since exp(0) = 1."""
+    return np.exp(np.minimum(np.asarray(x, dtype=float), 0.0))
 
 
 @dataclass
@@ -252,24 +239,21 @@ def backward(net: MtlNetwork, batches: dict[int, tuple[np.ndarray, np.ndarray]],
     (used for optimization); "sum" matches the raw objective.  Returns
     (grads, loss).
     """
-    grads, per_task = _backward_per_task(net, batches, scale)
+    grad, per_task = _backward_per_task(net, batches, scale)
     n_total = sum(len(obs) for obs, _ in batches.values())
-    if n_total == 0:
-        return grads, 0.0
-    factor = 1.0 / n_total if scale == "mean" else 1.0
-    return grads, sum(per_task[task] for task in sorted(per_task)) * factor
+    factor = 1.0 / n_total if scale == "mean" and n_total else 1.0
+    return _views(grad, net.params), sum(per_task[task] for task in sorted(per_task)) * factor
 
 
 def _backward_per_task(net: MtlNetwork, batches, scale: str):
-    """backward(), returning (grads, per-task summed squared errors of
-    the batch) instead, the errors taken at the parameters the
-    gradients were computed at."""
-    grads = [np.zeros_like(p) for p in net.params]
+    """backward(), returning (gradient, per-task summed squared errors
+    of the batch) instead: the gradient as one flat vector in parameter
+    order, the errors taken at the parameters it was computed at."""
+    grad = np.zeros(net.num_parameters())
+    grads = _views(grad, net.params)
     per_task = {task: 0.0 for task in batches}
     n_total = sum(len(obs) for obs, _ in batches.values())
-    if n_total == 0:
-        return grads, per_task
-    factor = 1.0 / n_total if scale == "mean" else 1.0
+    factor = 1.0 / n_total if scale == "mean" and n_total else 1.0
 
     per_head = 4 if net.arch.kind == MULTI_TASK else 2
     for task in sorted(batches):
@@ -290,12 +274,18 @@ def _backward_per_task(net: MtlNetwork, batches, scale: str):
             w = weights[layer]
             x, z = kept[layer]
             if layer < len(weights) - 1:
-                delta = delta * elu_grad(z)
+                delta *= elu_grad(z)
             grads[w] += delta.T @ x
             grads[w + 1] += delta.sum(axis=0)
             if layer > 0:
                 delta = delta @ net.params[w]
-    return grads, per_task
+    return grad, per_task
+
+
+def _views(flat: np.ndarray, like) -> list[np.ndarray]:
+    """Views of the 1-D `flat` shaped like the arrays of `like`, in order."""
+    ends = np.cumsum([p.size for p in like])
+    return [flat[end - p.size : end].reshape(p.shape) for p, end in zip(like, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +295,37 @@ def _backward_per_task(net: MtlNetwork, batches, scale: str):
 class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: list[np.ndarray]
     t: int = 0
 
     @staticmethod
     def for_params(params) -> "AdamState":
-        return AdamState([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+        return AdamState(*([np.zeros_like(p) for p in params] for _ in range(3)))
 
 
 def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place; the gradients are
+    overwritten as scratch.  Each operation is one ufunc pass per array,
+    so train() passes its parameters as one flat vector."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
+    for p, g, m, v, s in zip(params, grads, state.m, state.v, state.scratch):
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        v += s
+        g *= 1.0 - b1
+        m *= b1
+        m += g
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += cfg.eps
+        np.divide(m, c1, out=g)
+        g *= cfg.learning_rate
+        g /= s
+        p -= g
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +371,9 @@ def train(
     epoch is the per-sample mean over its minibatches, each measured in
     the gradient pass, before its update.  Validation loss is tracked
     per task; the returned parameters are the snapshot with the best
-    total validation loss.
+    total validation loss.  OpenBLAS runs on one thread meanwhile (at
+    these shapes a second one costs more than it gains), and the caller's
+    thread count is restored on return; the weights do not depend on it.
     """
     if not datasets:
         raise EmptyDataset("no training datasets")
@@ -391,47 +395,55 @@ def train(
     train_obs_all = np.concatenate([splits[t][0] for t in tasks])
     norm = fit_norm_stats(train_obs_all)
     net = MtlNetwork(arch, norm)
-    adam = AdamState.for_params(net.params)
+    flat = np.concatenate([p.ravel() for p in net.params])
+    net.params = _views(flat, net.params)
+    adam = AdamState.for_params([flat])
 
     share = max(cfg.batch_size // len(tasks), 1)
     steps_per_epoch = max(1, min(len(splits[t][0]) // share for t in tasks))
 
-    best_total = np.inf
-    best_params = None
-    history: list[EpochRecord] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = {t: rng.permutation(len(splits[t][0])) for t in tasks}
-        running = {t: 0.0 for t in tasks}
-        running_n = {t: 0 for t in tasks}
-        for s in range(steps_per_epoch):
-            batch = {}
-            for t in tasks:
-                sel = order[t][s * share : (s + 1) * share]
-                obs_b = splits[t][0][sel]
-                if cfg.input_noise > 0:
-                    obs_b = obs_b + cfg.input_noise * norm.std * rng.standard_normal(obs_b.shape)
-                batch[t] = (obs_b, splits[t][1][sel])
-            grads, batch_loss = _backward_per_task(net, batch, scale="mean")
-            adam_step(net.params, grads, adam, cfg)
-            for t in tasks:
-                running[t] += batch_loss[t]
-                running_n[t] += len(batch[t][0])
+    get_threads, set_threads = _openblas_threads() or (lambda: None, lambda n: None)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        best_total = np.inf
+        best_params = None
+        history: list[EpochRecord] = []
+        for epoch in range(1, cfg.epochs + 1):
+            order = {t: rng.permutation(len(splits[t][0])) for t in tasks}
+            running = {t: 0.0 for t in tasks}
+            running_n = {t: 0 for t in tasks}
+            for s in range(steps_per_epoch):
+                batch = {}
+                for t in tasks:
+                    sel = order[t][s * share : (s + 1) * share]
+                    obs_b = splits[t][0][sel]
+                    if cfg.input_noise > 0:
+                        obs_b = obs_b + cfg.input_noise * norm.std * rng.standard_normal(obs_b.shape)
+                    batch[t] = (obs_b, splits[t][1][sel])
+                grad, batch_loss = _backward_per_task(net, batch, scale="mean")
+                adam_step([flat], [grad], adam, cfg)
+                for t in tasks:
+                    running[t] += batch_loss[t]
+                    running_n[t] += len(batch[t][0])
 
-        train_loss = {t: running[t] / max(running_n[t], 1) for t in tasks}
-        val_loss = {t: _task_mean_loss(net, splits[t][2], splits[t][3], t) for t in tasks}
-        total_val = sum(val_loss.values())
-        if not np.isfinite(total_val) or not all(np.isfinite(v) for v in train_loss.values()):
-            raise NonFiniteLoss(epoch)
-        history.append(EpochRecord(epoch, train_loss, val_loss))
-        if total_val < best_total:
-            best_total = total_val
-            best_params = [p.copy() for p in net.params]
-        if log_fn:
-            log_fn(epoch, train_loss, val_loss)
+            train_loss = {t: running[t] / max(running_n[t], 1) for t in tasks}
+            val_loss = {t: _task_mean_loss(net, splits[t][2], splits[t][3], t) for t in tasks}
+            total_val = sum(val_loss.values())
+            if not np.isfinite(total_val) or not all(np.isfinite(v) for v in train_loss.values()):
+                raise NonFiniteLoss(epoch)
+            history.append(EpochRecord(epoch, train_loss, val_loss))
+            if total_val < best_total:
+                best_total = total_val
+                best_params = flat.copy()
+            if log_fn:
+                log_fn(epoch, train_loss, val_loss)
 
-    if best_params is not None:
-        net.params = best_params
-    return net, history
+        if best_params is not None:
+            net.params = _views(best_params, net.params)
+        return net, history
+    finally:
+        set_threads(threads)
 
 
 def train_many(jobs):
@@ -439,15 +451,15 @@ def train_many(jobs):
     (network, history) pairs in job order.
 
     The jobs run in spawned processes (so a calling script guards its
-    entry point), one per usable CPU, each with one OpenBLAS thread;
-    each result is bitwise what train() returns for the same job.  On a
-    single usable CPU, or for a single job, they run in this process.
+    entry point), one per usable CPU; each result is bitwise what
+    train() returns for the same job.  On a single usable CPU, or for a
+    single job, they run in this process.
     """
     jobs = list(jobs)
     workers = min(usable_cpus(), len(jobs))
     if workers > 1:
         context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
             return list(pool.map(train, *zip(*jobs)))
     return [train(*job) for job in jobs]
 

@@ -18,10 +18,11 @@ def _tool():
     return module
 
 
-def _write(checkout, workload, seed, trace, values, when, correct=True, errors=(), pid=1):
+def _write(checkout, workload, seed, trace, values, when, correct=True, errors=(), pid=1,
+           scale="full"):
     results = checkout / ".perfbench_out" / "results"
     results.mkdir(parents=True, exist_ok=True)
-    record = {"workload": workload, "trace": trace, "seconds": 30.0,
+    record = {"workload": workload, "trace": trace, "seconds": 30.0, "scale": scale,
               "environment": {"numpy": "2.x", "seed": seed}, "errors": list(errors), "failures": [],
               "result": {"correct": correct, "attempted": 4, "failed": 0,
                          "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}}
@@ -68,3 +69,19 @@ def test_seed_run_twice_on_one_side_is_an_error(tmp_path):
     with pytest.raises(SystemExit, match=r"collect seed 11 \(trace 0\) ran more than once.*"
                                          r"collect-s11-t0-p1.json, collect-s11-t0-p2.json"):
         _tool().build(14, parent, change, "aaa", "bbb")
+
+
+def test_smoke_runs_are_not_paired(tmp_path):
+    # perfbench/smoke.py runs every workload at seed 7 in the checkout;
+    # two self-tests must not make the checkout unpairable
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    metrics = ("setup_s", "peak_rss_mb", "stage_s", "tick_us")
+    for checkout in (parent, change):
+        _write(checkout, "clone", 7, 0, {m: 4.0 for m in metrics}, 1000)
+        for pid in (2, 3):
+            _write(checkout, "clone", 7, 0, {m: 0.1 for m in metrics}, 900, pid=pid, scale="smoke")
+            _write(checkout, "clone", 8, 1, {"network.elu.self_s": 0.1}, 900, pid=pid, scale="smoke")
+    record = _tool().build(19, parent, change, "aaa", "bbb")
+    assert record["workloads"]["clone"]["pairs"] == 1
+    assert record["workloads"]["clone"]["metrics"]["stage_s"]["parent"]["runs"] == [4.0]
+    assert record["per_layer"] == {}

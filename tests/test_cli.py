@@ -78,6 +78,15 @@ class TestCollect:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "gait 'trot'" in err[0]
 
+    def test_failed_gate_leaves_no_out_dir(self, tmp_path):
+        # the directory is made when the first output is written
+        cfg = tmp_path / "sag.cfg"
+        cfg.write_text(FAST_CONFIG + "data.samples_per_traj = 50\n"
+                       "expert.kp_height = 0\nexpert.kd_height = 0\n")
+        out = tmp_path / "d"
+        assert cli.main(["collect", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert not out.exists()
+
     def test_invalid_gait_usage_error(self, workspace, tmp_path):
         root, cfg = workspace
         rc = cli.main(["collect", "--config", str(cfg), "--gaits", "gallop",
@@ -190,6 +199,7 @@ class TestEval:
         rc = cli.main(["eval", "--config", str(cfg), "--model", str(tmp_path / "no.qmp"),
                        "--data", str(collected), "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
+        assert not (tmp_path / "e").exists()
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,14 @@ from quadgait.network import (
     adam_step,
     backward,
     elu,
+    elu_grad,
     load_weights,
     save_weights,
     total_loss,
     train,
     train_many,
 )
-from quadgait.network import _one_blas_thread, _openblas_threads
+from quadgait.network import _openblas_threads
 
 
 def unit_norm(dim=OBS_DIM):
@@ -39,6 +40,16 @@ class TestElu:
     def test_vectorized(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         np.testing.assert_allclose(elu(x), [np.expm1(-2), np.expm1(-0.5), 0.0, 0.5, 2.0])
+
+    def test_same_bytes_as_the_select_forms(self):
+        # elu and elu_grad avoid np.where; these are the forms they replace
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            5e-324, -5e-324, -745.2, 709.0])
+        for x in (special, np.random.default_rng(19).standard_normal(10**6)):
+            select = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+            select_grad = np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+            assert elu(x).tobytes() == select.tobytes()
+            assert elu_grad(x).tobytes() == select_grad.tobytes()
 
 
 class TestForward:
@@ -235,6 +246,31 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_flat_update_equals_per_layer_update(self):
+        # train() steps one flat vector; per element that must be the
+        # per-layer update of the textbook formula, bit for bit
+        cfg = TrainConfig(learning_rate=3e-3)
+        net = MtlNetwork(ArchSpec(hidden_width=128, num_tasks=3, seed=19), unit_norm())
+        layers = [p.copy() for p in net.params]
+        m = [np.zeros_like(p) for p in layers]
+        v = [np.zeros_like(p) for p in layers]
+        flat = np.concatenate([p.ravel() for p in net.params])
+        state = AdamState.for_params([flat])
+        rng = np.random.default_rng(19)
+        for t in range(1, 8):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2) for p in layers]
+            c1, c2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for p, g, mi, vi in zip(layers, grads, m, v):
+                mi *= cfg.beta1
+                mi += (1.0 - cfg.beta1) * g
+                vi *= cfg.beta2
+                vi += (1.0 - cfg.beta2) * g * g
+                p -= cfg.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + cfg.eps)
+            adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state, cfg)
+        assert flat.tobytes() == np.concatenate([p.ravel() for p in layers]).tobytes()
+        assert state.m[0].tobytes() == np.concatenate([mi.ravel() for mi in m]).tobytes()
+        assert state.v[0].tobytes() == np.concatenate([vi.ravel() for vi in v]).tobytes()
+
 
 def synthetic_tasks(rng, n_tasks=2, n=400):
     """Smooth synthetic obs->act maps, one per task."""
@@ -312,14 +348,33 @@ class TestTrain:
 
     @pytest.mark.skipif(_openblas_threads() is None, reason="numpy bundles no OpenBLAS")
     def test_one_blas_thread(self):
-        # the train_many workers' initializer, run here and then undone
+        # train runs on one OpenBLAS thread whatever the caller's count,
+        # gives the same weights and history at either count, and hands
+        # the caller's count back, also when it raises
         get, set_ = _openblas_threads()
+        tasks = synthetic_tasks(np.random.default_rng(20), n_tasks=2, n=200)
+        arch = ArchSpec(hidden_width=16, num_tasks=2, seed=20)
+        cfg = TrainConfig(epochs=3, batch_size=32, seed=20)
+        inside = []
         before = get()
+        runs = []
         try:
-            _one_blas_thread()
-            assert get() == 1
+            for threads in (1, 2):
+                set_(threads)
+                runs.append(train(tasks, arch, cfg, log_fn=lambda *_: inside.append(get())))
+                assert get() == threads
+            tasks[0].obs[0, 0] = np.nan
+            with pytest.raises(NonFiniteLoss):
+                train(tasks, arch, cfg)
+            assert get() == 2
         finally:
             set_(before)
+        assert inside == [1] * 6
+        (net_a, hist_a), (net_b, hist_b) = runs
+        for pa, pb in zip(net_a.params, net_b.params):
+            assert pa.tobytes() == pb.tobytes()
+        assert [(h.train_loss, h.val_loss) for h in hist_a] == [
+            (h.train_loss, h.val_loss) for h in hist_b]
 
     def test_deterministic_history(self):
         rng = np.random.default_rng(14)

@@ -28,12 +28,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_records(checkout: Path) -> dict:
-    """{(workload, trace, seed): (record, mtime)}.  A key run twice on one
-    side is an error: the record reports every run made, and which of two
-    runs to pair is not for this tool to choose."""
+    """{(workload, trace, seed): (record, mtime)} of the full-scale runs;
+    `perfbench/smoke.py`'s `--scale smoke` runs are skipped.  A key run
+    twice on one side is an error: the record reports every run made,
+    and which of two runs to pair is not for this tool to choose."""
     records, paths = {}, {}
     for path in sorted((checkout / ".perfbench_out" / "results").glob("*.json")):
         record = json.loads(path.read_text())
+        if record.get("scale", "full") != "full":
+            continue
         key = (record["workload"], record["trace"], record["environment"]["seed"])
         if key in records:
             sys.exit(f"bench_record: {key[0]} seed {key[2]} (trace {key[1]}) ran more than once "
