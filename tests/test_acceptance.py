@@ -4,10 +4,10 @@ set of trained networks through session fixtures, so the suite runs the
 full pipeline exactly once per seed.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion
-lines; the module takes about 8 minutes on a 2-core machine, dominated
-by the corpus collection and the three-seed training comparison, both
-spread over one worker process per usable CPU, the training workers
-with one OpenBLAS thread each.
+lines; the module takes about 4 minutes on a 2-core machine, dominated
+by the three-seed training comparison, which runs in one worker process
+per usable CPU, each training on one OpenBLAS thread.  The corpus
+collection takes about 21 s of that.
 """
 
 import time
