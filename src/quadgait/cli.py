@@ -119,33 +119,9 @@ def cmd_eval(args, cfg, gaits) -> int:
     return EXIT_OK
 
 
-def _rollout_common(args, cfg, gaits, scenario_events) -> int:
-    if args.duration is None:
-        args.duration = cfg["eval.rollout_duration"]
-    model, contact = cfg.robot(), cfg.contact()
-    specs = {name: cfg.gait(name) for name in GAIT_NAMES}
-    task_ids = {name: i for i, name in enumerate(gaits)}
-    net = None if getattr(args, "expert", False) else _load_policy(args.model)
-
-    log = None
-    if args.log:
-        from .simulation import RolloutLog
-
-        log = RolloutLog()
-    if net is None:
-        t, gait, cmd = scenario_events[0]
-        _state, summary = ev.closed_loop_rollout(
-            model, contact, specs[gait], cmd, args.duration,
-            net=None, expert_gains=cfg.expert_gains(), dt=cfg["sim.dt"],
-            transient=cfg["eval.transient"], log_target=log,
-        )
-        segments = [(gait, cmd, summary)]
-    else:
-        scenario = ev.SwitchScenario(events=scenario_events, duration=args.duration)
-        segments = ev.run_switch_scenario(
-            net, model, contact, scenario, specs, task_ids,
-            dt=cfg["sim.dt"], transient=cfg["eval.transient"], log_target=log,
-        )
+def _report_rollout(args, log, segments) -> int:
+    """Write the `--log` CSV, print one line per (gait, command, summary)
+    segment and exit 0 only if every segment survived."""
     if log is not None:
         log.write_csv(args.log)
     ok = all(s.survived for _, _, s in segments) and segments
@@ -165,7 +141,18 @@ def cmd_rollout(args, cfg, gaits) -> int:
         raise UsageError(exc) from None
     if args.gait not in GAIT_NAMES:
         raise UsageError(f"unknown gait '{args.gait}'")
-    return _rollout_common(args, cfg, gaits, [(0.0, args.gait, cmd)])
+    net = None if args.expert else _load_policy(args.model)
+    if net is not None and args.gait not in gaits:
+        raise UnknownTask(f"gait '{args.gait}' not in the trained task set")
+    duration = cfg["eval.rollout_duration"] if args.duration is None else args.duration
+    log = ev.RolloutLog() if args.log else None
+    _state, summary = ev.closed_loop_rollout(
+        cfg.robot(), cfg.contact(), cfg.gait(args.gait), cmd, duration,
+        net=net, task_id=0 if net is None else gaits.index(args.gait),
+        expert_gains=cfg.expert_gains(), dt=cfg["sim.dt"], transient=cfg["eval.transient"],
+        log_target=log,
+    )
+    return _report_rollout(args, log, [(args.gait, cmd, summary)])
 
 
 def cmd_switch(args, cfg, gaits) -> int:
@@ -174,8 +161,14 @@ def cmd_switch(args, cfg, gaits) -> int:
             scenario = ev.parse_scenario(fh.read(), duration=args.duration)
         except ValueError as exc:  # a bad line, or a file that is not text
             raise UsageError(exc) from None
-    args.duration = scenario.duration
-    return _rollout_common(args, cfg, gaits, scenario.events)
+    net = _load_policy(args.model)
+    log = ev.RolloutLog() if args.log else None
+    segments = ev.run_switch_scenario(
+        net, cfg.robot(), cfg.contact(), scenario, {name: cfg.gait(name) for name in GAIT_NAMES},
+        {name: i for i, name in enumerate(gaits)}, dt=cfg["sim.dt"],
+        transient=cfg["eval.transient"], log_target=log,
+    )
+    return _report_rollout(args, log, segments)
 
 
 def _add_common(p):

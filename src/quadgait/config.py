@@ -170,7 +170,7 @@ class RunConfig:
             **self._fields("data"),
         )
 
-    def arch(self, num_tasks: int, kind: str | None = None, seed: int | None = None) -> ArchSpec:
+    def arch(self, num_tasks: int, kind: str | None = None) -> ArchSpec:
         v = self.values
         kind_name = {"mtl": "multi_task", "single": "single_task"}.get(kind or v["train.arch"])
         if kind_name is None:
@@ -179,14 +179,11 @@ class RunConfig:
             kind=kind_name,
             hidden_width=v["train.hidden_width"],
             num_tasks=num_tasks,
-            seed=derive_seed(self.seed, "train") if seed is None else seed,
+            seed=derive_seed(self.seed, "train"),
         )
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            seed=derive_seed(self.seed, "train", 1) if seed is None else seed,
-            **self._fields("train"),
-        )
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(seed=derive_seed(self.seed, "train", 1), **self._fields("train"))
 
     def dump(self) -> str:
         lines = []
@@ -226,9 +223,7 @@ def load_config(path=None) -> RunConfig:
     """The defaults, or the config file at `path`; a file that cannot be
     read as UTF-8 text raises ConfigError."""
     if path is None:
-        cfg = RunConfig()
-        _validate(cfg)
-        return cfg
+        return parse_config("")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -48,6 +48,8 @@ JOINT_POS = slice(6, 18)
 JOINT_VEL = slice(18, 30)
 CONTACTS = slice(30, 34)
 
+_GATE_SECONDS = 2.0  # the expert competence gate's zero-command run
+
 
 def build_observation(imu, state: SimState, flags: np.ndarray) -> np.ndarray:
     """Concatenate the proprioceptive signals into the 34-entry vector
@@ -293,20 +295,19 @@ def expert_gate_check(
     model: RobotModel,
     contact: ContactParams,
     spec: GaitSpec,
-    duration: float = 2.0,
-    dt: float = 1e-3,
     gains: ExpertGains | None = None,
 ) -> bool:
     """Competence gate of a collection campaign: the expert must stay inside
-    the survival band through a zero-command closed-loop run of this gait
-    on the `simulate` kernel, the run an expert `closed_loop_rollout`
-    makes."""
-    return _run_experts(model, contact, [_gate(spec, duration, dt)], dt, gains, None)[0][0] is not None
+    the survival band through a zero-command closed-loop run of this gait,
+    _GATE_SECONDS long at a 1 ms step, on the `simulate` kernel: the run an
+    expert `closed_loop_rollout` makes."""
+    dt = 1e-3
+    return _run_experts(model, contact, [_gate(spec, dt)], dt, gains, None)[0][0] is not None
 
 
-def _gate(spec: GaitSpec, duration: float, dt: float):
+def _gate(spec: GaitSpec, dt: float):
     """The gate as a robot of `_run_experts`: zero command, no samples."""
-    return (spec, VelocityCommand(0.0, 0.0, 0.0), int(round(duration / dt)), 0, None)
+    return (spec, VelocityCommand(0.0, 0.0, 0.0), int(round(_GATE_SECONDS / dt)), 0, None)
 
 
 def usable_cpus() -> int:
@@ -345,7 +346,7 @@ def collect(
             for cmd_idx, cmd in enumerate(cmds):
                 cell_seed = np.random.SeedSequence([plan.seed, split_tag, gait_idx, cmd_idx])
                 cells.append((split, spec, cmd, cell_seed))
-    robots = [_gate(spec, 2.0, dt) for spec in plan.gaits]
+    robots = [_gate(spec, dt) for spec in plan.gaits]
     robots += [(spec, cmd, int(round(plan.settle_time / dt)), plan.samples_per_traj,
                 np.random.default_rng(seed)) for _, spec, cmd, seed in cells]
     results = _run_experts(model, contact, robots, dt, gains, plan)

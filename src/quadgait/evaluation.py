@@ -16,7 +16,6 @@ from .robot import RobotModel
 from .simulation import (
     ContactParams,
     RolloutLog,
-    SimState,
     contact_flags,
     nominal_stance_state,
     quat_to_matrix,
@@ -139,22 +138,22 @@ def closed_loop_rollout(
     expert_gains: ExpertGains | None = None,
     dt: float = 1e-3,
     transient: float = 1.0,
-    state: SimState | None = None,
     log_target: RolloutLog | None = None,
 ):
     """Run the policy (or, with net=None, the expert) in closed loop on
-    the `simulate` kernel.
+    the `simulate` kernel, from the nominal stance.
 
     Each tick the policy maps the observation synthesized from the state
     to a joint target (the expert reads the state itself and needs no
     observation); the PD controller applies the target and the simulator
     integrates.  The summary reports survival (height inside [0.4, 1.6]
     x nominal, tilt below 0.6 rad) and mean velocity-tracking error
-    after the transient.
+    after the transient, which is cut to half the duration if it is
+    longer.
     """
     if net is not None:
         net._check_task(task_id)
-    state = state.copy() if state is not None else nominal_stance_state(model, contact=contact)
+    state = nominal_stance_state(model, contact=contact)
     _, state, summary = _rollout(model, contact, spec, cmd, duration, net, task_id,
                                  expert_gains or ExpertGains(), dt, transient, state, state,
                                  log_target)
@@ -166,6 +165,7 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
     """closed_loop_rollout from the IMU pair (prev, state); returns
     (prev, state, summary), so the next rollout can continue the IMU
     history."""
+    transient = min(transient, duration * 0.5)
     start_time = state.time
     t_end = start_time + duration
     n_ticks, t = 0, start_time
@@ -261,7 +261,7 @@ def run_switch_scenario(
 
     Unknown gait names and head indices raise UnknownTask before any
     simulation.  Returns per-segment (gait, command, RolloutSummary)
-    tuples.
+    tuples, each summary taken as closed_loop_rollout takes it.
     """
     for _, gait, _cmd in scenario.events:
         if gait not in task_ids:
@@ -277,7 +277,7 @@ def run_switch_scenario(
             continue
         prev, state, summary = _rollout(
             model, contact, gait_specs[gait], cmd, seg_duration, net, task_ids[gait], None, dt,
-            min(transient, seg_duration * 0.5), prev, state, log_target,
+            transient, prev, state, log_target,
         )
         segments.append((gait, cmd, summary))
         if not summary.survived:

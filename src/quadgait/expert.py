@@ -65,7 +65,6 @@ def allocate_stance_forces(
     desired_wrench: tuple[np.ndarray, np.ndarray],
     foot_positions: list[np.ndarray],
     mu: float,
-    lam: float = 1e-9,
     torque_weight: float = 1.0,
     project: bool = True,
 ) -> np.ndarray:
@@ -73,7 +72,7 @@ def allocate_stance_forces(
 
     Minimizes sum |F_i|^2 subject to sum F_i = f and sum r_i x F_i = tau,
     solved through the Tikhonov-regularized normal equations of the
-    6 x 3n grasp matrix with one iterative-refinement pass (so achievable
+    6 x 3n grasp matrix with two iterative-refinement passes (so achievable
     wrenches are met to near machine precision).  Each force is then
     projected into the friction cone F_z >= 0, |F_xy| <= mu F_z.
 
@@ -104,7 +103,7 @@ def allocate_stance_forces(
         G *= row_scale[:, None]
         GT = G.swapaxes(-1, -2)
         ww = w * row_scale
-        A = G @ GT + lam * np.eye(6)
+        A = G @ GT + 1e-9 * np.eye(6)  # the Tikhonov term
         F = matvec(GT, np.linalg.solve(A, ww[..., None])[..., 0])
         # refinement passes remove the Tikhonov bias on the achievable part
         for _ in range(2):

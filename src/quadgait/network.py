@@ -1,12 +1,15 @@
 """From-scratch dense network stack for behavior cloning.
 
-Two architectures share one parameter layout:
+Both architectures have one layer layout: a shared trunk of two hidden
+layers feeding one head per task, each head a hidden layer plus a linear
+output, so every task's path is 34 -> 128 -> 128 -> 128 -> 12.
 
-* multi_task: a shared trunk of two hidden layers feeding one head per
-  gait, each head a hidden layer plus a linear output.  Only the head
-  matching a sample's task id sees its gradient; the trunk sees all.
-* single_task: three hidden layers and a linear output, no task
-  conditioning (the task id is ignored).
+* multi_task: one head per gait.  Only the head matching a sample's task
+  id sees its gradient; the trunk sees all.
+* single_task: the one-head case, with no task conditioning: every task
+  id goes to the one head.  Its parameters, initial draws, forward and
+  backward passes and QMP1 layer records are those of a one-head
+  multi_task net; only the QMP1 kind code differs.
 
 All hidden layers use ELU.  Inputs are z-score normalized with the
 statistics carried inside the network, so a weights file is
@@ -127,18 +130,12 @@ class MtlNetwork:
             params = _init_params(arch)
         self.params = params
 
-    # layout helpers ------------------------------------------------------
-    @property
-    def n_trunk(self) -> int:
-        return 2 if self.arch.kind == MULTI_TASK else 3
-
+    # layout helpers: trunk and heads hold two layers (W, b) each ----------
     def trunk(self):
-        return self.params[: 2 * self.n_trunk]
+        return self.params[:4]
 
     def head(self, k: int):
-        n = 2 * self.n_trunk
-        per_head = 4 if self.arch.kind == MULTI_TASK else 2
-        return self.params[n + per_head * k : n + per_head * (k + 1)]
+        return self.params[4 * (k + 1) : 4 * (k + 2)]
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params)
@@ -152,6 +149,8 @@ class MtlNetwork:
 
     # inference -----------------------------------------------------------
     def _check_task(self, task_id: int):
+        """The head index of `task_id`; a single-task net sends every id to
+        its one head."""
         if self.arch.kind == SINGLE_TASK:
             return 0
         if not 0 <= task_id < self.arch.num_tasks:
@@ -181,13 +180,10 @@ class MtlNetwork:
 
 
 def _layer_shapes(arch: ArchSpec):
-    """(rows, cols) of the weight matrices as (trunk, one head, head count):
-    the parameter list is the trunk's layers, then each head's in task
-    order."""
+    """(rows, cols) of the weight matrices as (trunk, one head): the
+    parameter list is the trunk's layers, then each head's in task order."""
     h, d_in, d_out = arch.hidden_width, arch.input_dim, arch.output_dim
-    if arch.kind == MULTI_TASK:
-        return [(h, d_in), (h, h)], [(h, h), (d_out, h)], arch.num_tasks
-    return [(h, d_in), (h, h), (h, h)], [(d_out, h)], 1
+    return [(h, d_in), (h, h)], [(h, h), (d_out, h)]
 
 
 def _layer_bytes(shapes) -> int:
@@ -198,9 +194,9 @@ def _layer_bytes(shapes) -> int:
 def _init_params(arch: ArchSpec) -> list[np.ndarray]:
     """He-style init scaled for ELU (std = sqrt(1.55 / fan_in)), zero biases."""
     rng = np.random.default_rng(arch.seed)
-    trunk, head, heads = _layer_shapes(arch)
+    trunk, head = _layer_shapes(arch)
     params: list[np.ndarray] = []
-    for rows, cols in trunk + head * heads:
+    for rows, cols in trunk + head * arch.num_tasks:
         params += [rng.standard_normal((rows, cols)) * np.sqrt(1.55 / cols), np.zeros(rows)]
     return params
 
@@ -239,23 +235,21 @@ def backward(net: MtlNetwork, batches: dict[int, tuple[np.ndarray, np.ndarray]],
     (used for optimization); "sum" matches the raw objective.  Returns
     (grads, loss).
     """
-    grad, per_task = _backward_per_task(net, batches, scale)
-    n_total = sum(len(obs) for obs, _ in batches.values())
-    factor = 1.0 / n_total if scale == "mean" and n_total else 1.0
+    grad, per_task, factor = _backward_per_task(net, batches, scale)
     return _views(grad, net.params), sum(per_task[task] for task in sorted(per_task)) * factor
 
 
 def _backward_per_task(net: MtlNetwork, batches, scale: str):
     """backward(), returning (gradient, per-task summed squared errors
-    of the batch) instead: the gradient as one flat vector in parameter
-    order, the errors taken at the parameters it was computed at."""
+    of the batch, loss scale) instead: the gradient as one flat vector in
+    parameter order, the errors taken at the parameters it was computed
+    at, and the factor that turns their sum into the loss."""
     grad = np.zeros(net.num_parameters())
     grads = _views(grad, net.params)
     per_task = {task: 0.0 for task in batches}
     n_total = sum(len(obs) for obs, _ in batches.values())
     factor = 1.0 / n_total if scale == "mean" and n_total else 1.0
 
-    per_head = 4 if net.arch.kind == MULTI_TASK else 2
     for task in sorted(batches):
         obs, act = batches[task]
         if len(obs) == 0:
@@ -267,8 +261,8 @@ def _backward_per_task(net: MtlNetwork, batches, scale: str):
         per_task[task] = float(np.sum(err * err))
 
         # parameter index of each layer's weights, input layer first
-        head = 2 * net.n_trunk + per_head * task_idx
-        weights = [*range(0, 2 * net.n_trunk, 2), *range(head, head + per_head, 2)]
+        head = 4 * (task_idx + 1)
+        weights = [0, 2, head, head + 2]
         delta = 2.0 * factor * err
         for layer in range(len(weights) - 1, -1, -1):
             w = weights[layer]
@@ -279,7 +273,7 @@ def _backward_per_task(net: MtlNetwork, batches, scale: str):
             grads[w + 1] += delta.sum(axis=0)
             if layer > 0:
                 delta = delta @ net.params[w]
-    return grad, per_task
+    return grad, per_task, factor
 
 
 def _views(flat: np.ndarray, like) -> list[np.ndarray]:
@@ -348,9 +342,9 @@ def _split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
     return idx[n_val:], idx[:n_val]
 
 
-def _task_mean_loss(net: MtlNetwork, obs: np.ndarray, act: np.ndarray, task: int,
-                    chunk: int = 8192) -> float:
+def _task_mean_loss(net: MtlNetwork, obs: np.ndarray, act: np.ndarray, task: int) -> float:
     """Per-sample mean of squared 12-dim error, chunked for memory."""
+    chunk = 8192
     total = 0.0
     for i in range(0, len(obs), chunk):
         err = net.forward(obs[i : i + chunk], task) - act[i : i + chunk]
@@ -421,7 +415,7 @@ def train(
                     if cfg.input_noise > 0:
                         obs_b = obs_b + cfg.input_noise * norm.std * rng.standard_normal(obs_b.shape)
                     batch[t] = (obs_b, splits[t][1][sel])
-                grad, batch_loss = _backward_per_task(net, batch, scale="mean")
+                grad, batch_loss, _ = _backward_per_task(net, batch, scale="mean")
                 adam_step([flat], [grad], adam, cfg)
                 for t in tasks:
                     running[t] += batch_loss[t]
@@ -500,8 +494,8 @@ def load_weights(path) -> MtlNetwork:
     except ValueError as exc:
         raise ShapeMismatch(f"{path}: {exc}") from None
     # the size the header implies, checked before anything is allocated
-    trunk, head, heads = _layer_shapes(arch)
-    need = _HEADER.size + 8 * d_in + _layer_bytes(trunk) + heads * _layer_bytes(head)
+    trunk, head = _layer_shapes(arch)
+    need = _HEADER.size + 8 * d_in + _layer_bytes(trunk) + k * _layer_bytes(head)
     if need > len(body):
         raise TruncatedFile(f"{path}: header implies {need} body bytes, found {len(body)}")
     if need < len(body):
@@ -512,7 +506,7 @@ def load_weights(path) -> MtlNetwork:
     std = np.frombuffer(body, dtype="<f4", count=d_in, offset=off).astype(float)
     off += 4 * d_in
     params = []
-    for rows, cols in trunk + head * heads:
+    for rows, cols in trunk + head * k:
         shape = _SHAPE.unpack_from(body, off)
         off += _SHAPE.size
         if shape != (rows, cols):

@@ -31,6 +31,9 @@ class LegIndex:
 # +1 for left legs (abduction offset along +y), -1 for right legs.
 SIDE_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 LEGS = np.arange(4)
+# IK: the least depth of the foot below the abduction axis, and how far
+# inside the workspace boundary an unreachable target is moved (m)
+_IK_EPS = 1e-4
 
 
 @dataclass
@@ -195,9 +198,7 @@ def leg_jacobian(model: RobotModel, leg: int, q_leg: np.ndarray) -> np.ndarray:
     return leg_kinematics(model, [leg], q_leg)[1][0]
 
 
-def leg_inverse_kinematics_rows(
-    model: RobotModel, legs, p_body, eps: float = 1e-4
-) -> tuple[np.ndarray, np.ndarray]:
+def leg_inverse_kinematics_rows(model: RobotModel, legs, p_body) -> tuple[np.ndarray, np.ndarray]:
     """Analytic 3-DoF IK for the rows (legs[i], p_body[i]).
 
     Returns the joint rows, shape (n, 3), and a per-row mask of targets
@@ -209,8 +210,8 @@ def leg_inverse_kinematics_rows(
     d = SIDE_SIGN[legs] * model.l_abd
 
     planar_sq = y * y + z * z - model.l_abd**2
-    low = planar_sq < eps * eps
-    planar_sq = np.where(low, eps * eps, planar_sq)
+    low = planar_sq < _IK_EPS * _IK_EPS
+    planar_sq = np.where(low, _IK_EPS * _IK_EPS, planar_sq)
     planar = np.sqrt(planar_sq)  # depth of the foot below the abduction axis
 
     q0 = np.arctan2(z, y) - np.arctan2(-planar, d)
@@ -220,7 +221,7 @@ def leg_inverse_kinematics_rows(
     r_min, r_max = model.min_leg_radius, model.max_leg_radius
     far = (r < r_min - 1e-12) | (r > r_max + 1e-12)
     if far.any():
-        r_new = np.minimum(np.maximum(r, r_min + eps), r_max - eps)
+        r_new = np.minimum(np.maximum(r, r_min + _IK_EPS), r_max - _IK_EPS)
         scale = r_new / np.maximum(r, 1e-12)
         x = np.where(far, x * scale, x)
         planar = np.where(far, planar * scale, planar)
@@ -239,7 +240,6 @@ def leg_inverse_kinematics(
     model: RobotModel,
     leg: int,
     p_body: np.ndarray,
-    eps: float = 1e-4,
     clamp: bool = False,
 ) -> np.ndarray:
     """Analytic 3-DoF IK on the knee-backward branch (knee angle <= 0).
@@ -249,7 +249,7 @@ def leg_inverse_kinematics(
     live.  With clamp=True an out-of-workspace target is projected to the
     nearest boundary instead of raising Unreachable.
     """
-    q, out = leg_inverse_kinematics_rows(model, [leg], p_body, eps)
+    q, out = leg_inverse_kinematics_rows(model, [leg], p_body)
     if out[0] and not clamp:
         raise Unreachable(tuple(np.asarray(p_body, float)), model.max_leg_radius)
     return q[0]

@@ -55,7 +55,7 @@ class SimState:
     v: np.ndarray
     foot_force: np.ndarray
     time: float = 0.0
-    # values computed once per state: name -> (source field, its bytes, model, arrays)
+    # values computed once per state: name -> (source field bytes, model, arrays)
     _once: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -68,12 +68,8 @@ class SimState:
     def rows(self, index) -> "SimState":
         """The robots `index` picks, as `array[index]` picks rows: an int
         gives a one-robot state, an index array a batch, None a batch of
-        one.  What was computed once comes along."""
-        sub = type(self)(*(a[index] for a in self.arrays()), self.time)
-        for name, (source, key, model, values) in self._once.items():
-            if key == getattr(self, source).tobytes():
-                sub._once[name] = (source, getattr(sub, source).tobytes(), model, [x[index] for x in values])
-        return sub
+        one."""
+        return type(self)(*(a[index] for a in self.arrays()), self.time)
 
     @staticmethod
     def stack(states) -> "SimState":
@@ -86,9 +82,9 @@ class SimState:
         reads was changed in place."""
         key = getattr(self, source).tobytes()
         hit = self._once.get(name)
-        if hit is None or hit[1] != key or hit[2] is not model:
-            hit = self._once[name] = (source, key, model, compute())
-        return hit[3]
+        if hit is None or hit[0] != key or hit[1] is not model:
+            hit = self._once[name] = (key, model, compute())
+        return hit[2]
 
     def rotation(self) -> np.ndarray:
         """quat_to_matrix(base_quat), computed once per state."""
@@ -161,21 +157,18 @@ def rpy_from_matrix(R: np.ndarray) -> tuple:
     return roll, pitch, yaw
 
 
-def nominal_stance_state(
-    model: RobotModel, yaw: float = 0.0, contact: ContactParams | None = None
-) -> SimState:
+def nominal_stance_state(model: RobotModel, contact: ContactParams | None = None) -> SimState:
     """Robot standing at the nominal pose, statically settled: the base
     sits one static deflection into the ground springs and the feet carry
     their quarter share of the weight, so the first observation already
     reads standing contact."""
     contact = contact or ContactParams()
-    quat = np.array([np.cos(0.5 * yaw), 0.0, 0.0, np.sin(0.5 * yaw)])
     sag = model.mass * 9.81 / (4.0 * contact.k_n)
     force = np.zeros((4, 3))
     force[:, 2] = model.mass * 9.81 / 4.0
     return SimState(
         base_pos=np.array([0.0, 0.0, model.nominal_base_height - sag]),
-        base_quat=quat,
+        base_quat=np.array([1.0, 0.0, 0.0, 0.0]),
         base_lin_vel=np.zeros(3),
         base_ang_vel=np.zeros(3),
         q=model.nominal_joint_pos.copy(),

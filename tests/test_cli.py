@@ -283,6 +283,23 @@ class TestRolloutAndSwitch:
         assert rc == cli.EXIT_OK
         assert "/0.30s" in capsys.readouterr().out
 
+    def test_short_expert_rollout_skips_half_its_duration(self, tmp_path, capsys):
+        # 1 s at the default 1 s transient: the summary covers the ticks
+        # after 0.5 s, as a switch segment's does
+        from quadgait.config import load_config
+        from quadgait.evaluation import closed_loop_rollout
+        from quadgait.gait import VelocityCommand
+
+        capsys.readouterr()
+        rc = cli.main(["rollout", "--expert", "--gait", "trot", "--vx", "0.2", "--duration", "1.0"])
+        assert rc == cli.EXIT_OK
+        cfg = load_config()
+        assert cfg["eval.transient"] == 1.0
+        _, s = closed_loop_rollout(cfg.robot(), cfg.contact(), cfg.gait("trot"),
+                                   VelocityCommand(0.2, 0.0, 0.0), 1.0, expert_gains=cfg.expert_gains(),
+                                   transient=0.5)
+        assert f"vx_err={s.mean_vx_error:.3f} height={s.mean_height:.3f}" in capsys.readouterr().out
+
     def test_scenario_file_missing(self, workspace, trained):
         root, cfg = workspace
         rc = cli.main(["switch", "--config", str(cfg), "--model", str(trained),

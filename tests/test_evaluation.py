@@ -139,6 +139,13 @@ class TestClosedLoopHarness:
         assert np.isfinite(summary.survival_time)
         assert not summary.survived
 
+    def test_transient_is_at_most_half_the_duration(self, model, contact, gains):
+        spec, cmd = make_gait("trot"), VelocityCommand(0.2, 0.0, 0.0)
+        _, cut = closed_loop_rollout(model, contact, spec, cmd, 1.0, expert_gains=gains)
+        _, half = closed_loop_rollout(model, contact, spec, cmd, 1.0, expert_gains=gains,
+                                      transient=0.5)
+        assert cut == half and np.isfinite(cut.mean_vx_error)
+
     def test_unknown_task_checked_before_sim(self, model, contact):
         net = trained_like_net(num_tasks=1)
         with pytest.raises(UnknownTask):

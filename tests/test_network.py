@@ -111,8 +111,31 @@ class TestForward:
 
     def test_single_task_depth(self):
         net = tiny_net(kind="single_task", h=16)
-        assert net.n_trunk == 3
+        assert [W.shape for W in net.params[::2]] == [(16, 34), (16, 16), (16, 16), (12, 16)]
         assert len(net.params) == 2 * 4  # 3 hidden + 1 output layer
+
+    def test_single_task_is_the_one_head_layout(self, tmp_path):
+        # only the kind differs: the same draws, passes and QMP1 layer records
+        single = tiny_net(kind="single_task", h=16, seed=20)
+        one_head = tiny_net(kind="multi_task", h=16, k=1, seed=20)
+        for a, b in zip(single.params, one_head.params, strict=True):
+            assert a.tobytes() == b.tobytes()
+        rng = np.random.default_rng(20)
+        obs = rng.standard_normal((9, OBS_DIM))
+        act = rng.standard_normal((9, ACT_DIM))
+        assert single.forward(obs, 0).tobytes() == one_head.forward(obs, 0).tobytes()
+        (g_single, l_single), (g_one, l_one) = (backward(n, {0: (obs, act)}) for n in (single, one_head))
+        assert l_single == l_one
+        for a, b in zip(g_single, g_one, strict=True):
+            assert a.tobytes() == b.tobytes()
+        save_weights(tmp_path / "single.qmp", single)
+        save_weights(tmp_path / "one_head.qmp", one_head)
+        a = (tmp_path / "single.qmp").read_bytes()
+        b = (tmp_path / "one_head.qmp").read_bytes()
+        kind = 8  # after the magic and the u32 version
+        assert len(a) == len(b) and (a[kind], b[kind]) == (1, 0)
+        assert a[:kind] == b[:kind] and a[kind + 1 : -4] == b[kind + 1 : -4]
+        assert a[-4:] != b[-4:]  # the CRC32
 
 
 class TestLoss:
@@ -187,7 +210,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         batches = {0: (rng.standard_normal((8, OBS_DIM)), rng.standard_normal((8, ACT_DIM)))}
         grads, _ = backward(net, batches)
-        base = 2 * net.n_trunk
+        base = len(net.trunk())
         for k in (1, 2):
             for offset in range(4):
                 np.testing.assert_array_equal(grads[base + 4 * k + offset], 0.0)
@@ -200,7 +223,7 @@ class TestBackward:
         g_both, _ = backward(net, {0: b0, 1: b1}, scale="sum")
         g0, _ = backward(net, {0: b0}, scale="sum")
         g1, _ = backward(net, {1: b1}, scale="sum")
-        for i in range(2 * net.n_trunk):
+        for i in range(len(net.trunk())):
             np.testing.assert_allclose(g_both[i], g0[i] + g1[i], atol=1e-12)
 
     def test_loss_is_the_objective(self):
