@@ -2,5 +2,3 @@
 
 from .robot import LegIndex, RobotModel
 from .simulation import ContactParams
-
-__version__ = "0.1.0"

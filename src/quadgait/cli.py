@@ -7,7 +7,7 @@ ends the run with one stderr line and the exit code `ERRORS` gives it:
 - 0: success.
 - 2: a config file that is unreadable (missing, a directory, not UTF-8)
   or invalid (`config error:`); an unknown gait, a command outside the
-  expert envelope or a bad scenario line (`error:`).
+  expert envelope, a `--duration` <= 0 or a bad scenario line (`error:`).
 - 3: an unreadable or unwritable data, model, scenario or output path,
   a damaged or mismatched file, or a gait the model has no head for.
 - 4: any other failure: a failed expert gate or collection, a
@@ -38,7 +38,7 @@ EXIT_NUMERIC = 4
 
 class UsageError(QuadGaitError):
     """Bad command-line input: an unknown gait, a command outside the
-    expert envelope, or a bad line in the scenario file."""
+    expert envelope, a duration <= 0 or a bad line in the scenario file."""
 
 
 # (exception classes, stderr prefix, exit code); the first match wins
@@ -205,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="eval_out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("rollout", help="closed-loop rollout of a policy or the expert")
+    p = sub.add_parser("rollout", help="closed-loop rollout of a policy or the expert",
+                       description="The policy does not see the velocity command: with --model, "
+                                   "vx_err is the distance from a command it was not given.")
     _add_common(p)
     p.add_argument("--model", help="weights file (omit with --expert)")
     p.add_argument("--expert", action="store_true", help="run the scripted expert instead")
@@ -244,6 +246,8 @@ def main(argv=None) -> int:
         for name in gaits:
             if name not in GAIT_NAMES:
                 raise UsageError(f"unknown gait '{name}'")
+        if getattr(args, "duration", None) is not None and not 0.0 < args.duration < float("inf"):
+            raise UsageError(f"--duration must be positive and finite, got {args.duration}")
         return args.func(args, cfg, gaits)
     except (QuadGaitError, OSError) as exc:
         prefix, code = next((prefix, code) for types, prefix, code in ERRORS if isinstance(exc, types))

@@ -1,12 +1,13 @@
 """Line-oriented run configuration: 'section.key = value' per line.
 
-The defaults live in the dataclasses of the other modules (RobotModel,
-ContactParams, ExpertGains, CollectionPlan, TrainConfig, ArchSpec) and
-in the gait timing table; the schema of keys, defaults and parsers is
-derived from them, so a new setting takes one edit.  Unknown keys are
-rejected.  A single master seed fans out to per-stage sub-seeds through
-a splitmix64-style hash, so collect, train and eval are independently
-reproducible.
+Each default is written once, where it is used: the fields of
+RobotModel, ContactParams, ExpertGains, CollectionPlan, TrainConfig and
+ArchSpec, `simulation.DT` (the tick), `evaluation.TRANSIENT` and the
+gait table that `make_gait` reads (period, swing height).  The schema of
+keys, defaults and parsers is derived from them; only `seed`,
+`data.gaits`, `train.arch` and `eval.rollout_duration` are set here.
+Unknown keys are rejected.  One master seed fans out to per-stage seeds
+through a splitmix64-style hash, so each stage is reproducible alone.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 from .dataset import CollectionPlan
 from .errors import ConfigError
 from .expert import ExpertGains
-from .gait import _DEFAULT_TIMING, GAIT_NAMES, GaitSpec, VelocityCommand, make_gait
+from .evaluation import TRANSIENT
+from .gait import GAIT_NAMES, GaitSpec, VelocityCommand, make_gait
 from .network import ArchSpec, TrainConfig
 from .robot import RobotModel
-from .simulation import ContactParams
+from .simulation import DT, ContactParams
 
 
 def _parse_floats(raw: str) -> list[float]:
@@ -69,7 +71,7 @@ _robot = _defaults(RobotModel)
 _inertia = np.diag(_robot["base_inertia"])
 _SCHEMA.update({
     "seed": (int, 0),
-    "sim.dt": (float, 1e-3),
+    "sim.dt": (float, DT),
     "robot.hip_x": (float, float(_robot["hip_offsets"][0, 0])),
     "robot.hip_y": (float, float(_robot["hip_offsets"][0, 1])),
     "robot.inertia_xx": (float, float(_inertia[0])),
@@ -80,11 +82,12 @@ _SCHEMA.update({
     "train.arch": (str, "mtl"),
     "train.hidden_width": (int, ArchSpec.hidden_width),
     "eval.rollout_duration": (float, 5.0),
-    "eval.transient": (float, 1.0),
+    "eval.transient": (float, TRANSIENT),
 })
 for _name in GAIT_NAMES:
-    _SCHEMA[f"gait.{_name}.period"] = (float, _DEFAULT_TIMING[_name][0])
-    _SCHEMA[f"gait.{_name}.swing_height"] = (float, _DEFAULT_TIMING[_name][1])
+    _gait = make_gait(_name)
+    _SCHEMA[f"gait.{_name}.period"] = (float, _gait.period)
+    _SCHEMA[f"gait.{_name}.swing_height"] = (float, _gait.swing_height)
 
 
 def splitmix64(x: int) -> int:
@@ -160,9 +163,6 @@ class RunConfig:
 
     def plan(self, gaits: list[str] | None = None) -> CollectionPlan:
         names = gaits if gaits is not None else self.gait_names()
-        for name in names:
-            if name not in GAIT_NAMES:
-                raise ConfigError(f"unknown gait '{name}' in collection plan")
         return CollectionPlan(
             gaits=[self.gait(name) for name in names],
             holdout_commands=[VelocityCommand(vx, 0.0, 0.0) for vx in self.values["data.holdout_vx"]],
@@ -246,5 +246,9 @@ def _validate(cfg: RunConfig):
         cfg.train_config()
         if not 0.0 < cfg["sim.dt"] <= 0.005:
             raise ValueError("sim.dt must be in (0, 0.005]")
+        if not 0.0 < cfg["eval.rollout_duration"] < np.inf:
+            raise ValueError("eval.rollout_duration must be positive and finite")
+        if not cfg["eval.transient"] >= 0.0:
+            raise ValueError("eval.transient must not be negative")
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc

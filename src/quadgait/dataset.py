@@ -29,6 +29,7 @@ from .expert import ExpertGains, expert_torques
 from .gait import GaitSpec, VelocityCommand, stack_gaits
 from .robot import RobotModel
 from .simulation import (
+    DT,
     ContactParams,
     SimState,
     contact_flags,
@@ -41,12 +42,6 @@ log = logging.getLogger(__name__)
 
 OBS_DIM = 34
 ACT_DIM = 12
-
-GYRO = slice(0, 3)
-ACCEL = slice(3, 6)
-JOINT_POS = slice(6, 18)
-JOINT_VEL = slice(18, 30)
-CONTACTS = slice(30, 34)
 
 _GATE_SECONDS = 2.0  # the expert competence gate's zero-command run
 
@@ -94,13 +89,13 @@ class Dataset:
     task_id: np.ndarray
     obs: np.ndarray
     act: np.ndarray
-    sample_rate_hz: float = 1000.0
+    sample_rate_hz: float = 1.0 / DT
 
     def __len__(self) -> int:
         return len(self.task_id)
 
     @staticmethod
-    def from_records(task_names, task_id, obs, act, sample_rate_hz=1000.0) -> "Dataset":
+    def from_records(task_names, task_id, obs, act, sample_rate_hz=1.0 / DT) -> "Dataset":
         return Dataset(
             list(task_names),
             np.asarray(task_id, dtype=np.uint32),
@@ -197,19 +192,17 @@ def _run_experts(model, contact, robots, dt, gains, plan):
     specs, cmds, n_settle, n_samples, rngs = zip(*robots)
     cmds = np.array([cmd.as_tuple() for cmd in cmds])
     n_settle, n_samples = np.array(n_settle), np.array(n_samples)
-    rngs = [rng if plan is not None else None for rng in rngs]
-    noisy = np.array([rng is not None and plan.action_noise > 0 for rng in rngs])
     n = len(robots)
+    if plan is None:  # no disturbances: a robot is pushed only with an rng and a plan
+        rngs, plan = [None] * n, CollectionPlan([])
+    noisy = np.array([rng is not None and plan.action_noise > 0 for rng in rngs])
     obs = np.empty((n, n_samples.max(), OBS_DIM))
     act = np.empty((n, n_samples.max(), ACT_DIM))
     clamped = np.zeros(n, int)
     noise = np.zeros((n, 12))
-    push_every = int(round((plan.push_interval if plan else 0.4) / dt)) or 1
-    if plan is not None and plan.action_noise_tau > 0:
-        decay = np.exp(-dt / plan.action_noise_tau)
-        spread = np.sqrt(1.0 - decay * decay)
-    else:
-        decay, spread = 0.0, 1.0
+    push_every = int(round(plan.push_interval / dt)) or 1
+    decay = np.exp(-dt / plan.action_noise_tau) if plan.action_noise_tau > 0 else 0.0
+    spread = np.sqrt(1.0 - decay * decay)
     states = [nominal_stance_state(model, contact=contact) for _ in robots]
     for state, rng in zip(states, rngs):
         if rng is not None and plan.init_jitter > 0:
@@ -260,7 +253,7 @@ def run_expert_trajectory(
     cmd: VelocityCommand,
     settle_time: float,
     n_samples: int,
-    dt: float = 1e-3,
+    dt: float = DT,
     gains: ExpertGains | None = None,
     rng: np.random.Generator | None = None,
     plan: CollectionPlan | None = None,
@@ -299,10 +292,9 @@ def expert_gate_check(
 ) -> bool:
     """Competence gate of a collection campaign: the expert must stay inside
     the survival band through a zero-command closed-loop run of this gait,
-    _GATE_SECONDS long at a 1 ms step, on the `simulate` kernel: the run an
+    _GATE_SECONDS long at the `DT` tick, on the `simulate` kernel: the run an
     expert `closed_loop_rollout` makes."""
-    dt = 1e-3
-    return _run_experts(model, contact, [_gate(spec, dt)], dt, gains, None)[0][0] is not None
+    return _run_experts(model, contact, [_gate(spec, DT)], DT, gains, None)[0][0] is not None
 
 
 def _gate(spec: GaitSpec, dt: float):
@@ -321,7 +313,7 @@ def collect(
     plan: CollectionPlan,
     model: RobotModel,
     contact: ContactParams,
-    dt: float = 1e-3,
+    dt: float = DT,
     gains: ExpertGains | None = None,
 ):
     """Run the full collection campaign.
@@ -336,7 +328,6 @@ def collect(
     (see `_run_experts`), each cell on its own seed sequence.
     """
     plan.validate()
-    gains = gains or ExpertGains()
     train_cmds = plan.training_commands()
     cells = []
     for split_tag, (split, cmds) in enumerate(

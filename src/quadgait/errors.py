@@ -8,11 +8,6 @@ class QuadGaitError(Exception):
 class Unreachable(QuadGaitError):
     """IK target lies outside the leg workspace."""
 
-    def __init__(self, target, max_radius):
-        self.target = target
-        self.max_radius = max_radius
-        super().__init__(f"foot target {target} outside workspace (max radius {max_radius:.4f} m)")
-
 
 class Diverged(QuadGaitError):
     """Simulation state became non-finite or left the sane region, or

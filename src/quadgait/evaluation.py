@@ -14,6 +14,7 @@ from .gait import GaitSpec, VelocityCommand
 from .network import MtlNetwork
 from .robot import RobotModel
 from .simulation import (
+    DT,
     ContactParams,
     RolloutLog,
     contact_flags,
@@ -117,13 +118,15 @@ def write_traj_csv(path, traj_rows):
 # ---------------------------------------------------------------------------
 # closed-loop rollouts
 
+TRANSIENT = 1.0  # s at the start of a rollout that its summary skips
+
+
 @dataclass
 class RolloutSummary:
     survived: bool
     survival_time: float
     duration: float
     mean_vx_error: float
-    mean_vy_error: float
     mean_height: float
 
 
@@ -136,8 +139,8 @@ def closed_loop_rollout(
     net: MtlNetwork | None = None,
     task_id: int = 0,
     expert_gains: ExpertGains | None = None,
-    dt: float = 1e-3,
-    transient: float = 1.0,
+    dt: float = DT,
+    transient: float = TRANSIENT,
     log_target: RolloutLog | None = None,
 ):
     """Run the policy (or, with net=None, the expert) in closed loop on
@@ -172,7 +175,7 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
     while t < t_end - 0.5 * dt:   # sums dt as step advances state.time
         t += dt
         n_ticks += 1
-    track_vx, track_vy, heights = [], [], []
+    track_vx, heights = [], []
 
     def control(i, live, prev, state):
         if net is None:
@@ -189,7 +192,6 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
         if state.time - start_time > transient:
             vel_body = quat_to_matrix(state.base_quat).T @ state.base_lin_vel
             track_vx.append(abs(vel_body[0] - cmd.vx))
-            track_vy.append(abs(vel_body[1] - cmd.vy))
             heights.append(state.base_pos[2])
 
     [prev], [state], [fall] = simulate(model, contact, state, n_ticks, dt, control, prev=prev,
@@ -199,7 +201,6 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
         survival_time=duration if fall is None else fall[0] - start_time,
         duration=duration,
         mean_vx_error=float(np.mean(track_vx)) if track_vx else np.nan,
-        mean_vy_error=float(np.mean(track_vy)) if track_vy else np.nan,
         mean_height=float(np.mean(heights)) if heights else np.nan,
     )
     return prev, state, summary
@@ -252,8 +253,8 @@ def run_switch_scenario(
     scenario: SwitchScenario,
     gait_specs: dict[str, GaitSpec],
     task_ids: dict[str, int],
-    dt: float = 1e-3,
-    transient: float = 1.0,
+    dt: float = DT,
+    transient: float = TRANSIENT,
     log_target: RolloutLog | None = None,
 ):
     """Execute the scenario as one continuous closed loop, switching the

@@ -183,8 +183,8 @@ def expert_torques(
     spec: GaitSpec,
     cmd,
     t: float,
-    gains: ExpertGains | None = None,
-    mu: float = 0.7,
+    gains: ExpertGains,
+    mu: float,
 ) -> ExpertAction:
     """Expert joint torques at time t (deterministic, stateless).
 
@@ -194,7 +194,6 @@ def expert_torques(
     (n, 3) array of (vx, vy, wz) rows, one per robot.  A batch gets
     (n, 12) torques.
     """
-    gains = gains or ExpertGains()
     batch = state.q.shape[:-1]
     vx_vy_wz = cmd.as_tuple() if isinstance(cmd, VelocityCommand) else np.asarray(cmd, float).T
     wz = vx_vy_wz[2]

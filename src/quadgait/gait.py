@@ -11,13 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# per-leg phase offsets in FL, FR, RL, RR order and the duty factor
+# per gait: per-leg phase offsets in FL, FR, RL, RR order and the duty
+# factor, which define it, then its default period (s) and swing height
+# (m), which are tunable.  Period and swing height are tuned per gait for
+# a stable desk-scale closed loop: the ballistic gaits need short
+# unsupported phases, and a trot stance (half its period) must stay
+# short against the ~0.17 s tipping time sqrt(h/g) of its diagonal
+# support line; 0.24 s also puts the quarter period on a 1 ms tick
 _GAIT_TABLE = {
-    "trot": ((0.0, 0.5, 0.5, 0.0), 0.5),
-    "bound": ((0.0, 0.0, 0.5, 0.5), 0.5),
-    "jump": ((0.0, 0.0, 0.0, 0.0), 0.5),
-    "walk": ((0.0, 0.5, 0.75, 0.25), 0.75),
-    "stand": ((0.0, 0.0, 0.0, 0.0), 1.0),  # internal: stance-hold
+    "trot": ((0.0, 0.5, 0.5, 0.0), 0.5, 0.24, 0.08),
+    "bound": ((0.0, 0.0, 0.5, 0.5), 0.5, 0.24, 0.03),
+    "jump": ((0.0, 0.0, 0.0, 0.0), 0.5, 0.25, 0.04),
+    "walk": ((0.0, 0.5, 0.75, 0.25), 0.75, 0.6, 0.05),
+    "stand": ((0.0, 0.0, 0.0, 0.0), 1.0, 0.5, 0.0),  # internal: stance-hold
 }
 
 GAIT_NAMES = ("trot", "bound", "jump", "walk")
@@ -40,31 +46,16 @@ class GaitSpec:
         if np.any(self.phase_offset < 0) or np.any(self.phase_offset >= 1):
             raise ValueError("phase offsets must be in [0, 1)")
         if self.name in _GAIT_TABLE:
-            offsets, duty = _GAIT_TABLE[self.name]
+            offsets, duty = _GAIT_TABLE[self.name][:2]
             if not np.allclose(self.phase_offset, offsets) or self.duty != duty:
                 raise ValueError(f"offsets/duty do not match the '{self.name}' definition")
-
-
-# period and swing height tuned per gait for a stable desk-scale closed
-# loop: the ballistic gaits need short unsupported phases, and a trot
-# stance (half its period) must stay short against the ~0.17 s tipping
-# time sqrt(h/g) of its diagonal support line; 0.24 s also puts the
-# quarter period on a 1 ms tick
-_DEFAULT_TIMING = {
-    "trot": (0.24, 0.08),
-    "bound": (0.24, 0.03),
-    "jump": (0.25, 0.04),
-    "walk": (0.6, 0.05),
-    "stand": (0.5, 0.0),
-}
 
 
 def make_gait(name: str, period: float | None = None, swing_height: float | None = None) -> GaitSpec:
     """Build a named gait with its defining offsets and duty factor."""
     if name not in _GAIT_TABLE:
         raise ValueError(f"unknown gait '{name}' (choose from {GAIT_NAMES})")
-    offsets, duty = _GAIT_TABLE[name]
-    default_period, default_sh = _DEFAULT_TIMING[name]
+    offsets, duty, default_period, default_sh = _GAIT_TABLE[name]
     return GaitSpec(
         name=name,
         period=default_period if period is None else period,

@@ -25,8 +25,6 @@ class LegIndex:
     RL = 2
     RR = 3
 
-    NAMES = ("FL", "FR", "RL", "RR")
-
 
 # +1 for left legs (abduction offset along +y), -1 for right legs.
 SIDE_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
@@ -251,5 +249,6 @@ def leg_inverse_kinematics(
     """
     q, out = leg_inverse_kinematics_rows(model, [leg], p_body)
     if out[0] and not clamp:
-        raise Unreachable(tuple(np.asarray(p_body, float)), model.max_leg_radius)
+        raise Unreachable(f"foot target {tuple(np.asarray(p_body, float))} outside workspace "
+                          f"(max radius {model.max_leg_radius:.4f} m)")
     return q[0]

@@ -20,6 +20,7 @@ from .errors import Diverged
 from .robot import LEGS, RobotModel, _rot_x, cross3, leg_kinematics, matvec
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+DT = 1e-3  # s: the 1 kHz tick that demonstrations, the policy and its rollouts share
 
 
 @dataclass

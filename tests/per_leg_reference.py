@@ -145,7 +145,7 @@ def leg_inverse_kinematics(model, leg, p_body, eps=1e-4, clamp=False):
     planar_sq = y * y + z * z - model.l_abd**2
     if planar_sq < eps * eps:
         if not clamp:
-            raise Unreachable(tuple(np.asarray(p_body, float)), model.max_leg_radius)
+            raise Unreachable(f"foot target {tuple(np.asarray(p_body, float))} outside workspace")
         planar_sq = eps * eps
     planar = np.sqrt(planar_sq)
 
@@ -156,7 +156,7 @@ def leg_inverse_kinematics(model, leg, p_body, eps=1e-4, clamp=False):
     r_min, r_max = model.min_leg_radius, model.max_leg_radius
     if r < r_min - 1e-12 or r > r_max + 1e-12:
         if not clamp:
-            raise Unreachable(tuple(np.asarray(p_body, float)), r_max)
+            raise Unreachable(f"foot target {tuple(np.asarray(p_body, float))} outside workspace")
         r_new = min(max(r, r_min + eps), r_max - eps)
         scale = r_new / max(r, 1e-12)
         x *= scale

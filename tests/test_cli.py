@@ -300,6 +300,26 @@ class TestRolloutAndSwitch:
                                    transient=0.5)
         assert f"vx_err={s.mean_vx_error:.3f} height={s.mean_height:.3f}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan"])
+    def test_rollout_duration_not_positive_is_usage_error(self, duration, capsys):
+        rc = cli.main(["rollout", "--expert", "--gait", "trot", "--duration", duration])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --duration must be positive"), err
+
+    def test_switch_zero_duration_is_usage_error(self, workspace, trained, tmp_path, capsys):
+        root, cfg = workspace
+        scn = tmp_path / "switch.txt"
+        scn.write_text("0.0 trot 0.0 0 0\n")
+        capsys.readouterr()
+        rc = cli.main(["switch", "--config", str(cfg), "--model", str(trained),
+                       "--scenario", str(scn), "--duration", "0"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --duration must be positive"), err
+
     def test_scenario_file_missing(self, workspace, trained):
         root, cfg = workspace
         rc = cli.main(["switch", "--config", str(cfg), "--model", str(trained),

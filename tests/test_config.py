@@ -1,12 +1,15 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from quadgait.config import RunConfig, derive_seed, load_config, parse_config, splitmix64
-from quadgait.dataset import CollectionPlan
+from quadgait.dataset import CollectionPlan, collect, run_expert_trajectory
 from quadgait.errors import ConfigError
+from quadgait.evaluation import closed_loop_rollout, run_switch_scenario
 from quadgait.expert import ExpertGains
+from quadgait.gait import GAIT_NAMES, make_gait
 from quadgait.network import ArchSpec, TrainConfig
 from quadgait.robot import RobotModel
 from quadgait.simulation import ContactParams
@@ -89,8 +92,15 @@ class TestParseConfig:
              "holdout command overlaps"),
             ("train.hidden_width = 0", "hidden_width"),
             ("data.gaits =", "data.gaits names no gait"),
+            ("eval.rollout_duration = 0", "eval.rollout_duration"),
+            ("eval.rollout_duration = -1", "eval.rollout_duration"),
+            ("eval.rollout_duration = nan", "eval.rollout_duration"),
+            ("eval.rollout_duration = inf", "eval.rollout_duration"),
+            ("eval.transient = -0.1", "eval.transient"),
+            ("eval.transient = nan", "eval.transient"),
         ],
-        ids=["holdout_overlap", "zero_width", "no_gaits"],
+        ids=["holdout_overlap", "zero_width", "no_gaits", "zero_duration", "negative_duration",
+             "nan_duration", "inf_duration", "negative_transient", "nan_transient"],
     )
     def test_plan_and_arch_checked_at_load(self, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -124,6 +134,23 @@ class TestOneSourceOfDefaults:
     def test_plan(self):
         plan = RunConfig().plan()
         _assert_fields_equal(plan, CollectionPlan(gaits=plan.gaits), skip={"seed", "gaits"})
+
+    def test_tick_and_transient(self):
+        # the functions' defaults and the config's are one value each
+        cfg = load_config()
+        for fn in (collect, run_expert_trajectory, closed_loop_rollout, run_switch_scenario):
+            params = inspect.signature(fn).parameters
+            assert params["dt"].default == cfg["sim.dt"], fn.__name__
+            if fn in (closed_loop_rollout, run_switch_scenario):
+                assert params["transient"].default == cfg["eval.transient"], fn.__name__
+        assert (cfg["sim.dt"], cfg["eval.transient"]) == (1e-3, 1.0)
+
+    def test_gait_timing(self):
+        cfg = load_config()
+        for name in GAIT_NAMES:
+            spec = make_gait(name)
+            assert spec.period == cfg[f"gait.{name}.period"], name
+            assert spec.swing_height == cfg[f"gait.{name}.swing_height"], name
 
 
 class TestSeedDerivation:
