@@ -300,26 +300,6 @@ class TestRolloutAndSwitch:
                                    transient=0.5)
         assert f"vx_err={s.mean_vx_error:.3f} height={s.mean_height:.3f}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("duration", ["-1", "0", "nan"])
-    def test_rollout_duration_not_positive_is_usage_error(self, duration, capsys):
-        rc = cli.main(["rollout", "--expert", "--gait", "trot", "--duration", duration])
-        out, err = capsys.readouterr()
-        assert rc == cli.EXIT_USAGE
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: --duration must be positive"), err
-
-    def test_switch_zero_duration_is_usage_error(self, workspace, trained, tmp_path, capsys):
-        root, cfg = workspace
-        scn = tmp_path / "switch.txt"
-        scn.write_text("0.0 trot 0.0 0 0\n")
-        capsys.readouterr()
-        rc = cli.main(["switch", "--config", str(cfg), "--model", str(trained),
-                       "--scenario", str(scn), "--duration", "0"])
-        out, err = capsys.readouterr()
-        assert rc == cli.EXIT_USAGE
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: --duration must be positive"), err
-
     def test_scenario_file_missing(self, workspace, trained):
         root, cfg = workspace
         rc = cli.main(["switch", "--config", str(cfg), "--model", str(trained),
@@ -369,6 +349,15 @@ ERROR_CASES = {
         "--scenario", f.write("walk.txt", "0.0 walk 0.0 0 0\n")]),
     "out_of_envelope": (cli.EXIT_USAGE, "error: ", lambda f: [
         "rollout", "--config", f.cfg, "--expert", "--vx", "5", "--duration", "0.1"]),
+    "rollout_duration_negative": (cli.EXIT_USAGE, "error: --duration must be positive", lambda f: [
+        "rollout", "--config", f.cfg, "--expert", "--duration", "-1"]),
+    "rollout_duration_zero": (cli.EXIT_USAGE, "error: --duration must be positive", lambda f: [
+        "rollout", "--config", f.cfg, "--expert", "--duration", "0"]),
+    "rollout_duration_nan": (cli.EXIT_USAGE, "error: --duration must be positive", lambda f: [
+        "rollout", "--config", f.cfg, "--expert", "--duration", "nan"]),
+    "switch_duration_zero": (cli.EXIT_USAGE, "error: --duration must be positive", lambda f: [
+        "switch", "--config", f.cfg, "--model", f.model, "--duration", "0",
+        "--scenario", f.write("trot.txt", "0.0 trot 0.0 0 0\n")]),
     "bad_scenario_line": (cli.EXIT_USAGE, "error: ", lambda f: [
         "switch", "--config", f.cfg, "--model", f.model, "--duration", "0.1",
         "--scenario", f.write("short.txt", "0.0 trot\n")]),
