@@ -19,7 +19,6 @@ from .simulation import (
     RolloutLog,
     contact_flags,
     nominal_stance_state,
-    quat_to_matrix,
     read_imu,
     simulate,
 )
@@ -190,7 +189,7 @@ def _rollout(model, contact, spec, cmd, duration, net, task_id, gains, dt, trans
 
     def track(live, state):
         if state.time - start_time > transient:
-            vel_body = quat_to_matrix(state.base_quat).T @ state.base_lin_vel
+            vel_body = state.rotation().T @ state.base_lin_vel
             track_vx.append(abs(vel_body[0] - cmd.vx))
             heights.append(state.base_pos[2])
 
@@ -224,6 +223,8 @@ class SwitchScenario:
             raise ValueError("events must be time-sorted")
         if self.events[0][0] != 0.0:
             raise ValueError("first event must start at t=0")
+        if times[-1] >= self.duration:
+            raise ValueError(f"event at t={times[-1]:g} s is not before the scenario's end, {self.duration:g} s")
 
 
 def parse_scenario(text: str, duration: float | None = None) -> SwitchScenario:

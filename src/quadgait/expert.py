@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gait import GaitSpec, VelocityCommand, gait_phase, raibert_target, swing_trajectory
-from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, matvec
-from .simulation import SimState, rpy_from_matrix
+from .robot import LEGS, SIDE_SIGN, RobotModel, cross3, leg_inverse_kinematics_rows, matvec, solve
+from .simulation import SimState
 
 log = logging.getLogger(__name__)
 _EYES = np.tile(np.eye(3), 4)  # [I I I I], the force rows of a grasp matrix
 # [r]x = (0, -rz, ry; rz, 0, -rx; -ry, rx, 0) as entries of (rx, ry, rz, 0)
 _SKEW, _SKEW_SIGN = np.array([3, 2, 1, 2, 3, 0, 1, 0, 3]), np.array([1.0, -1, 1, 1, 1, -1, -1, 1, 1])
+_TIKHONOV = 1e-9 * np.eye(6)
+_LATERAL = np.outer(SIDE_SIGN, [0.0, 1.0, 0.0])  # times l_abd: each hip's offset to its leg plane
 
 
 @dataclass
@@ -93,38 +95,37 @@ def allocate_stance_forces(
     w = np.concatenate([np.asarray(part, float) for part in desired_wrench], axis=-1)
     row_scale = np.array([1.0, 1.0, 1.0, torque_weight, torque_weight, torque_weight])
 
-    def solve(w, feet):
-        # [I | [r_i]x] blocks side by side, one per foot, C-ordered
+    def least_norm(w, feet):
+        # [I | [r_i]x] blocks side by side, one per foot, C-ordered, rows scaled
         k = feet.shape[-2]
         G = np.empty(feet.shape[:-2] + (6, 3 * k))
         G[..., :3, :] = _EYES[:, : 3 * k]
-        skew = np.take(np.concatenate((feet, np.zeros(feet.shape[:-1] + (1,))), -1), _SKEW, -1) * _SKEW_SIGN
+        skew = np.concatenate((feet, np.zeros(feet.shape[:-1] + (1,))), -1).take(_SKEW, -1)
+        skew *= _SKEW_SIGN * torque_weight  # (r s) w is r (s w) bitwise, as s is +-1
         G[..., 3:, :] = skew.reshape(feet.shape + (3,)).swapaxes(-3, -2).reshape(feet.shape[:-2] + (3, 3 * k))
-        G *= row_scale[:, None]
         GT = G.swapaxes(-1, -2)
-        ww = w * row_scale
-        A = G @ GT + 1e-9 * np.eye(6)  # the Tikhonov term
-        F = matvec(GT, np.linalg.solve(A, ww[..., None])[..., 0])
+        ww = (w * row_scale)[..., None]  # vectors are columns: M @ x is the product matvec makes
+        A = G @ GT + _TIKHONOV
+        F = GT @ solve(A, ww)
         # refinement passes remove the Tikhonov bias on the achievable part
         for _ in range(2):
-            F = F + matvec(GT, np.linalg.solve(A, (ww - matvec(G, F))[..., None])[..., 0])
+            F = F + GT @ solve(A, ww - G @ F)
         return F.reshape(feet.shape)
 
-    forces = solve(w, feet)
+    forces = least_norm(w, feet)
     if project:
         # active-set pass: feet asked to pull are dropped and the rest
         # re-solved, which keeps the achieved wrench honest before cone
         # projection
         rows, rows_w, rows_feet = forces.reshape(-1, ns, 3), w.reshape(-1, 6), feet.reshape(-1, ns, 3)
         pulling = rows[..., 2] < 0.0
-        for r in np.flatnonzero(pulling.any(axis=1) & ~pulling.all(axis=1)):
+        for r in np.flatnonzero(pulling.any(axis=1) & ~pulling.all(axis=1)) if pulling.any() else ():
             keep = np.flatnonzero(~pulling[r])
             rows[r] = 0.0
-            rows[r, keep] = solve(rows_w[r], rows_feet[r, keep])
+            rows[r, keep] = least_norm(rows_w[r], rows_feet[r, keep])
 
         fz = forces[..., 2]
-        fz = np.where(fz < 0.0, 0.0, fz)  # max(fz, 0.0), -0.0 kept
-        forces[..., 2] = fz
+        fz[fz < 0.0] = 0.0  # max(fz, 0.0), -0.0 kept
         fxy = np.hypot(forces[..., 0], forces[..., 1])
         limit = mu * fz
         over = fxy > limit
@@ -151,7 +152,7 @@ def _desired_wrench(
     1 - duty of it, so its stance must carry m g / duty.
     """
     vx, vy, wz = cmd
-    roll, pitch, yaw = rpy_from_matrix(R)
+    roll, pitch, yaw = state.rpy()
     cos_y, sin_y = np.cos(yaw), np.sin(yaw)
     cmd_world = np.zeros(np.shape(yaw) + (3,))
     cmd_world[..., 0] = vx * cos_y - vy * sin_y
@@ -160,7 +161,7 @@ def _desired_wrench(
     lin_vel, omega = state.base_lin_vel, state.base_ang_vel
     f = np.empty(np.shape(yaw) + (3,))
     f[..., :2] = gains.kv_linear * (cmd_world[..., :2] - lin_vel[..., :2])
-    pronk = np.ptp(spec.phase_offset, axis=-1) == 0.0
+    pronk = np.maximum.reduce(spec.phase_offset, -1) == np.minimum.reduce(spec.phase_offset, -1)
     support = np.where(pronk, spec.duty[..., 0], 1.0) if pronk.ndim else spec.duty if pronk else 1.0
     f[..., 2] = (
         model.mass * 9.81 / support
@@ -196,32 +197,32 @@ def expert_torques(
     """
     batch = state.q.shape[:-1]
     vx_vy_wz = cmd.as_tuple() if isinstance(cmd, VelocityCommand) else np.asarray(cmd, float).T
-    wz = vx_vy_wz[2]
     R = state.rotation()
-    RT = R.swapaxes(-1, -2)  # views keep the layout of R.T, which selects the BLAS kernel
+    R_legs = R[..., None, :, :]
+    RT_legs = R_legs.swapaxes(-1, -2)  # views keep the layout of R.T, which selects the BLAS kernel
     leg_phase, in_stance = gait_phase(spec, t)
     f_des, tau_des, cmd_world = _desired_wrench(state, model, spec, vx_vy_wz, gains, R)
     q_legs, v_legs = state.q.reshape(batch + (4, 3)), state.v.reshape(batch + (4, 3))
     base = state.base_pos[..., None, :]
 
-    # one allocation per stance-foot count k, over the (n_k, k, 3) feet of the
-    # robots with k stance feet in leg order, and their torques J^T(-R^T f)
+    # one allocation per stance-foot count k, over the (n_k, k, 3) arms of
+    # the robots with k stance feet in leg order; the torques J^T(-R^T f)
+    # of every leg, of which the swing legs' are replaced below
     foot_body, J = state.leg_kinematics(model)
-    push = np.zeros(batch + (4, 3))
+    arms = base + matvec(R_legs, foot_body) - base
+    forces = np.zeros(batch + (4, 3))
     n_stance = in_stance.sum(-1)
-    for k in set(np.ravel(n_stance).tolist()) - {0}:
+    for k in set(n_stance.ravel().tolist()) - {0}:
         robots = n_stance == k if batch else ()  # () takes the one robot as it is
         feet = np.nonzero(in_stance & (n_stance == k)[..., None])
-        row = feet[:-1]  # the robot of each row, as `robots` picks it
-        arms = state.base_pos[row] + matvec(R[row], foot_body[feet]) - state.base_pos[row]
-        forces = allocate_stance_forces((f_des[robots], tau_des[robots]), arms, mu,
-                                        torque_weight=gains.torque_weight)
-        push[feet] = matvec(J[feet].swapaxes(-1, -2), matvec(-RT[row], forces.reshape(-1, 3)))
+        forces[feet] = allocate_stance_forces((f_des[robots], tau_des[robots]), arms[feet], mu,
+                                              torque_weight=gains.torque_weight).reshape(-1, 3)
+    push = matvec(J.swapaxes(-1, -2), matvec(-RT_legs, forces))
 
-    lateral = np.zeros((4, 3))
-    lateral[:, 1] = SIDE_SIGN * model.l_abd
-    hip_world = base + matvec(R[..., None, :, :], model.hip_offsets + lateral)
-    hip_vel_cmd = cmd_world[..., None, :] + cross3((0.0, 0.0, wz), (hip_world - base).T).T
+    hip_world = base + matvec(R_legs, model.hip_offsets + _LATERAL * model.l_abd)
+    omega_cmd = np.zeros(batch + (1, 3))
+    omega_cmd[..., 0, 2] = vx_vy_wz[2]
+    hip_vel_cmd = cmd_world[..., None, :] + cross3(omega_cmd, hip_world - base)
     ground = hip_world.copy()
     ground[..., 2] = 0.0
 
@@ -233,25 +234,33 @@ def expert_torques(
     hold_world = ground.copy()
     hold_world[..., :2] += lead[..., None] * hip_vel_cmd[..., :2]
     ik_legs = np.tile(LEGS, batch[0]) if batch else LEGS
-    p_ik = matvec(RT[..., None, :, :], hold_world - base).reshape(-1, 3)
-    swing = np.nonzero(~in_stance)  # swing rows: the (robot, leg) pairs outside stance
-    robot, leg = swing[:-1], swing[-1]
-    rows, duty = spec, spec.duty  # the spec and its duty for one robot
-    if leg.size:
-        if batch:  # the gait values of each swing row
+    p_ik = matvec(RT_legs, hold_world - base).reshape(-1, 3)
+    swing = (~in_stance).ravel().nonzero()[0]  # the (robot, leg) rows outside stance, flat
+    robot = swing // 4
+
+    def take_rows(x, index):  # of an (..., 3) array, flat
+        return x.reshape(-1, 3).take(index, 0)
+
+    if swing.size:
+        rows, duty = spec, spec.duty  # the spec and the duty of each swing row
+        if batch:
             rows = copy.copy(spec)
             rows.period, rows.duty, rows.swing_height = (spec.period[robot], spec.duty[robot],
                                                          spec.swing_height[robot])
             duty = rows.duty[:, 0]
-        s = (leg_phase[swing] - duty) / (1.0 - duty)
-        vel_cmd = hip_vel_cmd[swing]
-        target = raibert_target(vel_cmd, rows, hip_world[swing], state.base_lin_vel[robot], gains.k_raibert)
-        start = ground[swing]
+        s = (leg_phase.take(swing) - duty) / (1.0 - duty)
+        vel_cmd = take_rows(hip_vel_cmd, swing)
+        target = raibert_target(vel_cmd, rows, take_rows(hip_world, swing),
+                                take_rows(state.base_lin_vel, robot), gains.k_raibert)
+        start = take_rows(ground, swing)
         start[..., :2] -= 0.5 * (rows.duty * rows.period) * vel_cmd[..., :2]
         swing_world = swing_trajectory(rows, start, target, s)
-        ik_legs = np.concatenate((ik_legs, leg))
-        p_ik = np.concatenate((p_ik, matvec(RT[robot], swing_world - state.base_pos[robot])))
-    q_ik = _safe_ik(model, ik_legs, p_ik)
+        ik_legs = np.concatenate((ik_legs, swing % 4))
+        p_ik = np.concatenate((p_ik, matvec(R.reshape(-1, 3, 3)[robot].swapaxes(-1, -2),
+                                            swing_world - take_rows(state.base_pos, robot))))
+    q_ik, out = leg_inverse_kinematics_rows(model, ik_legs, p_ik)  # a target outside the workspace
+    for leg in ik_legs[out]:  # is clamped to it, with one warning per clamped row
+        log.warning("foot target out of workspace for leg %d, clamping", leg)
     q_hold = q_ik[: q_legs.size // 3].reshape(q_legs.shape)
     tau_hold = gains.kp_hold * (q_hold - q_legs) - gains.kd_hold * v_legs
 
@@ -260,32 +269,19 @@ def expert_torques(
     # stays continuous in phase
     w, fade = gains.blend_frac, np.ones(in_stance.shape)
     if w > 0.0:
-        edges = np.where(in_stance, (leg_phase, spec.duty - leg_phase),  # into and out of stance,
-                         (leg_phase - spec.duty, 1.0 - leg_phase))  # and of swing
-        fade = np.minimum(*_smoothstep(edges / w))
+        edges = np.empty((2,) + in_stance.shape)  # into and out of stance, and of swing
+        np.subtract(leg_phase, np.where(in_stance, 0.0, spec.duty), out=edges[0])
+        np.subtract(np.where(in_stance, spec.duty, 1.0), leg_phase, out=edges[1])
+        x = np.minimum(np.maximum(edges / w, 0.0), 1.0)  # Python's min/max: x is finite, -0.0 squares to 0.0
+        fade = np.minimum(*(x * x * (3.0 - 2.0 * x)))  # smoothstep
         fade[in_stance & (spec.duty >= 1.0)] = 1.0  # a gait that never swings keeps its full force
     tau_raw = fade[..., None] * push + tau_hold
-    if leg.size:
-        tau_swing = (gains.kp_swing * (q_ik[q_legs.size // 3:] - q_legs[swing])
-                     - gains.kd_swing * v_legs[swing])
-        blend = fade[swing][:, None]
-        tau_raw[swing] = blend * tau_swing + (1.0 - blend) * tau_hold[swing]
+    if swing.size:
+        tau_swing = (gains.kp_swing * (q_ik[q_legs.size // 3:] - take_rows(q_legs, swing))
+                     - gains.kd_swing * take_rows(v_legs, swing))
+        blend = fade.take(swing)[:, None]
+        tau_raw.reshape(-1, 3)[swing] = blend * tau_swing + (1.0 - blend) * take_rows(tau_hold, swing)
 
     tau_raw = tau_raw.reshape(batch + (12,))
-    tau = np.clip(tau_raw, -model.tau_max, model.tau_max)
+    tau = np.minimum(np.maximum(tau_raw, -model.tau_max), model.tau_max)  # np.clip's bits: no bound is 0
     return ExpertAction(tau=tau, tau_raw=tau_raw)
-
-
-def _smoothstep(x: np.ndarray) -> np.ndarray:
-    """x^2 (3 - 2x) of x clamped to [0, 1], entry by entry."""
-    x = np.minimum(np.maximum(x, 0.0), 1.0)  # Python's min/max: x is finite, and -0.0 squares to +0.0
-    return x * x * (3.0 - 2.0 * x)
-
-
-def _safe_ik(model, legs, p_body):
-    """IK rows (legs[i], p_body[i]); a target outside the workspace is
-    clamped to it, with one warning per clamped row."""
-    q, out = leg_inverse_kinematics_rows(model, legs, p_body)
-    for leg in legs[out]:
-        log.warning("foot target out of workspace for leg %d, clamping", leg)
-    return q

@@ -114,10 +114,10 @@ def swing_trajectory(
     the blended ground line.  With an array s, start and target hold one
     row per entry of s, and the spec's values may hold one row each too.
     """
-    s = np.clip(s, 0.0, 1.0)
+    s = np.minimum(np.maximum(s, 0.0), 1.0)  # np.clip's bits, but a -0.0 becomes 0.0
     # the cubic is a Python float power per entry: numpy's array power
     # rounds differently from it in the last bit
-    blend = np.reshape([3.0 * x * x - 2.0 * x**3 for x in np.ravel(s).tolist()], np.shape(s) + (1,))
+    blend = np.array([3.0 * x * x - 2.0 * x**3 for x in np.ravel(s).tolist()]).reshape(np.shape(s) + (1,))
     start = np.asarray(start, float)
     point = start + blend * (np.asarray(target, float) - start)
     point[..., 2:] += spec.swing_height * np.sin(np.pi * s).reshape(blend.shape)

@@ -29,6 +29,17 @@ class LegIndex:
 # +1 for left legs (abduction offset along +y), -1 for right legs.
 SIDE_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 LEGS = np.arange(4)
+# cross3's products: a1 b2, a2 b0, a0 b1, then a2 b1, a0 b2, a1 b0
+_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+_E_X = np.array([1.0, 0.0, 0.0])
+# leg_kinematics' values of a row: sin and cos of (q0, q1, q1 + q2), the
+# side sign, 1 and 0; from them, times `scale`, the roll about x (1, 0, 0;
+# 0, c0, -s0; 0, s0, c0) and the chain's terms (lt s1, lc s12, lt c1,
+# lc c12, their negatives, the lateral offset, 0).  Each chain entry is
+# terms[i] - terms[j], bitwise the written-out formula (a - (-b) is a + b)
+_SIDE_ONE_ZERO = np.stack((SIDE_SIGN, np.ones(4), np.zeros(4)), 1)
+_ROLL_CHAIN = np.array([7, 8, 8, 8, 3, 0, 8, 0, 3, 1, 2, 4, 5, 1, 2, 4, 5, 6, 8])
+_CHAIN = np.array([[13, 17, 15, 15, 18, 9, 16, 18, 10], [10, 18, 12, 12, 18, 14, 18, 18, 18]])
 # IK: the least depth of the foot below the abduction axis, and how far
 # inside the workspace boundary an unreachable target is moved (m)
 _IK_EPS = 1e-4
@@ -89,6 +100,9 @@ class RobotModel:
         expected = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
         if not np.array_equal(signs, expected):
             raise ValueError("hip_offsets must follow the FL,FR,RL,RR sign pattern")
+        I = self.base_inertia  # Sylvester's criterion; det shares solve's LAPACK code, eigvalsh would not
+        if not (np.array_equal(I, I.T) and all(np.linalg.det(I[:k, :k]) > 0.0 for k in (1, 2, 3))):
+            raise ValueError("base_inertia must be symmetric positive definite")
         lo, hi = self.joint_limits[:, 0], self.joint_limits[:, 1]
         if not np.all(lo < hi):
             raise ValueError("each joint limit pair must satisfy lo < hi")
@@ -129,24 +143,14 @@ def nominal_pose_for_height(height: float, l_thigh: float, l_calf: float) -> np.
 
 
 def cross3(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors.
+    """Cross product over the last axis, a and b broadcasting.
 
     Bitwise-identical to np.cross (same products, same subtraction
     order) without its per-call axis handling, which dominated the cost
     of a simulator tick.
     """
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
-
-
-def _rot_x(angle: np.ndarray) -> np.ndarray:
-    """Rotations about x, one (3,3) matrix per entry of `angle`."""
-    c, s = np.cos(angle), np.sin(angle)
-    R = np.zeros(np.shape(angle) + (3, 3))
-    R[..., 0, 0] = 1.0
-    R[..., 1, 1], R[..., 1, 2] = c, -s
-    R[..., 2, 1], R[..., 2, 2] = s, c
-    return R
+    products = np.asarray(a).take(_CROSS_A, -1) * np.asarray(b).take(_CROSS_B, -1)
+    return products[..., :3] - products[..., 3:]
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -159,6 +163,15 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(A, x[..., None])[..., 0]
 
 
+def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, B) for float64 stacks of square A and of column
+    blocks B: numpy's own solve gufunc, the same LAPACK call and bits,
+    without the wrapper's dtype and error-state set-up (4 of its 5.5 us).
+    Its LinAlgError for a singular A cannot arise: callers pass finite
+    matrices that are symmetric positive definite by construction."""
+    return np.linalg._umath_linalg.solve(A, B, signature="dd->d")
+
+
 def leg_kinematics(model: RobotModel, legs, q_legs) -> tuple[np.ndarray, np.ndarray]:
     """Foot positions in the body frame, shape (n, 3), and their analytic
     Jacobians d(foot position)/d(q_leg), shape (n, 3, 3), for the rows
@@ -167,23 +180,21 @@ def leg_kinematics(model: RobotModel, legs, q_legs) -> tuple[np.ndarray, np.ndar
     Chain: hip root offset, roll by q0 about x, lateral +-l_abd along y,
     thigh pitch q1 and knee pitch q2 about the rolled y axis.
     """
-    q0, q1, q2 = np.asarray(q_legs, dtype=float).reshape(-1, 3).T
+    q = np.asarray(q_legs, dtype=float).reshape(-1, 3)
     lt, lc = model.l_thigh, model.l_calf
-    s1, c1 = np.sin(q1), np.cos(q1)
-    s12, c12 = np.sin(q1 + q2), np.cos(q1 + q2)
-    zero = np.zeros_like(q1)
-
+    angle = q.copy()
+    angle[:, 2] += q[:, 1]  # q0, q1, q1 + q2
+    values = np.concatenate((np.sin(angle), np.cos(angle), _SIDE_ONE_ZERO.take(legs, 0)), 1)
+    scale = np.array((1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0,
+                      lt, lc, lt, lc, -lt, -lc, -lt, -lc, model.l_abd, 1.0))
+    terms = values.take(_ROLL_CHAIN, 1) * scale
     # per leg, before the roll: the foot in the rolled x-z plane (q1 = 0
     # points straight down) and its derivatives in q1 and q2
-    chain = np.array((
-        (-lt * s1 - lc * s12, SIDE_SIGN[legs] * model.l_abd, -lt * c1 - lc * c12),
-        (-lt * c1 - lc * c12, zero, lt * s1 + lc * s12),
-        (-lc * c12, zero, lc * s12),
-    )).transpose(2, 0, 1).copy()
-    rolled = matvec(_rot_x(q0)[:, None], chain)  # rows: foot from hip root, dp/dq1, dp/dq2
+    chain = (terms.take(_CHAIN[0], 1) - terms.take(_CHAIN[1], 1)).reshape(-1, 3, 3)
+    rolled = matvec(terms[:, :9].reshape(-1, 1, 3, 3), chain)  # rows: foot from hip root, dp/dq1, dp/dq2
     J = rolled.transpose(0, 2, 1).copy()
-    J[:, :, 0] = cross3((1.0, 0.0, 0.0), rolled[:, 0].T).T
-    return model.hip_offsets[legs] + rolled[:, 0], J
+    J[:, :, 0] = cross3(_E_X, rolled[:, 0])
+    return model.hip_offsets.take(legs, 0) + rolled[:, 0], J
 
 
 def leg_forward_kinematics(model: RobotModel, leg: int, q_leg: np.ndarray) -> np.ndarray:
@@ -203,18 +214,20 @@ def leg_inverse_kinematics_rows(model: RobotModel, legs, p_body) -> tuple[np.nda
     outside the workspace; those rows are solved for the target projected
     to the nearest workspace boundary.
     """
-    x, y, z = (np.asarray(p_body, dtype=float).reshape(-1, 3) - model.hip_offsets[legs]).T
+    rel = np.asarray(p_body, dtype=float).reshape(-1, 3) - model.hip_offsets.take(legs, 0)
+    x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
+    square = rel * rel
     lt, lc = model.l_thigh, model.l_calf
-    d = SIDE_SIGN[legs] * model.l_abd
+    d = SIDE_SIGN.take(legs) * model.l_abd
 
-    planar_sq = y * y + z * z - model.l_abd**2
+    planar_sq = square[:, 1] + square[:, 2] - model.l_abd**2
     low = planar_sq < _IK_EPS * _IK_EPS
-    planar_sq = np.where(low, _IK_EPS * _IK_EPS, planar_sq)
+    planar_sq = np.maximum(planar_sq, _IK_EPS * _IK_EPS)  # NaN kept, as np.where(low, ...) keeps it
     planar = np.sqrt(planar_sq)  # depth of the foot below the abduction axis
 
     q0 = np.arctan2(z, y) - np.arctan2(-planar, d)
 
-    r_sq = x * x + planar_sq
+    r_sq = square[:, 0] + planar_sq
     r = np.sqrt(r_sq)
     r_min, r_max = model.min_leg_radius, model.max_leg_radius
     far = (r < r_min - 1e-12) | (r > r_max + 1e-12)
@@ -226,12 +239,12 @@ def leg_inverse_kinematics_rows(model: RobotModel, legs, p_body) -> tuple[np.nda
         r_sq = np.where(far, r_new * r_new, r_sq)
 
     cos_knee = (r_sq - lt * lt - lc * lc) / (2.0 * lt * lc)
-    q2 = -np.arccos(np.clip(cos_knee, -1.0, 1.0))
-    q1 = np.arctan2(-x, planar) - np.arctan2(lc * np.sin(q2), lt + lc * np.cos(q2))
-
+    q = np.empty(rel.shape)
+    q[:, 2] = q2 = -np.arccos(np.minimum(np.maximum(cos_knee, -1.0), 1.0))
+    np.subtract(np.arctan2(-x, planar), np.arctan2(lc * np.sin(q2), lt + lc * np.cos(q2)), out=q[:, 1])
     # wrap q0 into (-pi, pi]
-    q0 = (q0 + np.pi) % (2.0 * np.pi) - np.pi
-    return np.stack((q0, q1, q2), -1), low | far
+    np.subtract((q0 + np.pi) % (2.0 * np.pi), np.pi, out=q[:, 0])
+    return q, low | far
 
 
 def leg_inverse_kinematics(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged
-from .robot import LEGS, RobotModel, _rot_x, cross3, leg_kinematics, matvec
+from .robot import _E_X, LEGS, RobotModel, cross3, leg_kinematics, matvec, solve
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 DT = 1e-3  # s: the 1 kHz tick that demonstrations, the policy and its rollouts share
@@ -56,7 +56,8 @@ class SimState:
     v: np.ndarray
     foot_force: np.ndarray
     time: float = 0.0
-    # values computed once per state: name -> (source field bytes, model, arrays)
+    # values computed once per state, name -> (source field bytes, model,
+    # arrays); and "checked", simulate's mark of a state step checked
     _once: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -91,6 +92,10 @@ class SimState:
         """quat_to_matrix(base_quat), computed once per state."""
         return self._computed("R", "base_quat", None, lambda: [quat_to_matrix(self.base_quat)])[0]
 
+    def rpy(self) -> tuple:
+        """rpy_from_matrix(rotation()), computed once per state."""
+        return self._computed("rpy", "base_quat", None, lambda: rpy_from_matrix(self.rotation()))
+
     def leg_kinematics(self, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
         """Body-frame foot positions (..., 4, 3) and Jacobians (..., 4, 3,
         3) of the joints, computed once per state for `step` and the expert."""
@@ -120,7 +125,7 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix (3, 3) of a quaternion (w, x, y, z), or (n, 3, 3)
     for (n, 4) rows: 1 - 2(yy + zz), 2(xy - zw), 2(xz + yw); 2(xy + zw),
     1 - 2(xx + zz), 2(yz - xw); 2(xz - yw), 2(yz + xw), 1 - 2(xx + yy)."""
-    terms = np.take((q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,)), _ROT_TERMS, -1)
+    terms = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,)).take(_ROT_TERMS, -1)
     half = terms[..., 0, :] + terms[..., 1, :] * _ROT_SIGN
     return np.where(_ROT_DIAG, 1 - 2 * half, 2 * half).reshape(q.shape[:-1] + (3, 3))
 
@@ -129,7 +134,7 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a b: w = aw bw - ax bx - ay by - az bz, x = aw bx + ax bw + ay bz
     - az by, y = aw by - ax bz + ay bw + az bx, z = aw bz + ax by - ay bx
     + az bw."""
-    terms = np.take((a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (16,)), _MUL_TERMS, -1)
+    terms = (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (16,)).take(_MUL_TERMS, -1)
     terms *= _MUL_SIGN
     return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
@@ -146,7 +151,8 @@ def quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
     if small.any():  # those rows take the small-angle form, the others the rotation
         tiny = np.concatenate((np.ones_like(angle), 0.5 * phi), -1)
         return np.where(small, tiny, quat_from_rotvec(np.where(small, 1.0, phi)))
-    return np.concatenate((np.cos(0.5 * angle), np.sin(0.5 * angle) * (phi / angle)), -1)
+    half = 0.5 * angle
+    return np.concatenate((np.cos(half), np.sin(half) * (phi / angle)), -1)
 
 
 def rpy_from_matrix(R: np.ndarray) -> tuple:
@@ -182,7 +188,7 @@ def nominal_stance_state(model: RobotModel, contact: ContactParams | None = None
 def pd_torque(model: RobotModel, target: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """tau = kp (target - q) - kd v, clamped to +-tau_max per joint."""
     tau = model.kp * (np.asarray(target) - q) - model.kd * v
-    return np.clip(tau, -model.tau_max, model.tau_max)
+    return np.minimum(np.maximum(tau, -model.tau_max), model.tau_max)  # np.clip's bits: the bounds are not 0
 
 
 def _contact_forces(
@@ -197,14 +203,11 @@ def _contact_forces(
     added to a positive spring force)."""
     pen = -p_world[..., 2]
     fn = contact.k_n * pen + contact.c_n * np.maximum(-v_world[..., 2], 0.0)
-    speed = np.hypot(v_world[..., 0], v_world[..., 1])
-    mag = np.minimum(contact.mu * fn * np.minimum(speed / contact.v_slip, 1.0),
+    speed = np.maximum(np.hypot(v_world[..., 0], v_world[..., 1]), 1e-12)[..., None]  # no slide at 1e-12
+    mag = np.minimum(contact.mu * fn[..., None] * np.minimum(speed / contact.v_slip, 1.0),
                      contact.stop_mass * speed / dt)
-    slide = ((speed > 1e-12) & (fn > 0.0))[..., None]
     force = np.empty(p_world.shape)
-    force[..., :2] = np.where(
-        slide, -mag[..., None] * v_world[..., :2] / np.where(slide, speed[..., None], 1.0), 0.0
-    )
+    force[..., :2] = np.where(speed > 1e-12, -mag * v_world[..., :2] / speed, 0.0)
     force[..., 2] = fn
     return np.where(((pen > 0.0) & (fn > 0.0))[..., None], force, 0.0)
 
@@ -232,7 +235,8 @@ def step(
     if not 0.0 < dt <= 0.005:
         raise ValueError("dt must be in (0, 0.005]")
     s = state
-    _check_valid(s)
+    if s._once.pop("checked", None) is None:
+        _check_valid(s)
     batch = s.q.shape[:-1]
 
     R = s.rotation()
@@ -244,17 +248,11 @@ def step(
     base = s.base_pos[..., None, :]
     p_world = base + matvec(R_legs, p_body)
     v_world = s.base_lin_vel[..., None, :] + matvec(
-        R_legs, cross3(s.base_ang_vel.T, p_body.T).T + matvec(J, s.v.reshape(batch + (4, 3)))
+        R_legs, cross3(s.base_ang_vel[..., None, :], p_body) + matvec(J, s.v.reshape(batch + (4, 3)))
     )
     foot_force = _contact_forces(contact, p_world, v_world, dt)
     loaded = (foot_force[..., 2] > 0.0)[..., None]
     tau_ext = np.where(loaded, matvec(J.swapaxes(-1, -2), matvec(RT[..., None, :, :], foot_force)), 0.0)
-    arm_x_force = np.where(loaded, cross3((p_world - base).T, foot_force.T).T, 0.0)
-    # summed leg by leg from zero: a reduction would start from the first
-    # leg's term and keep a -0.0 that 0.0 + x turns into +0.0
-    torque_world = np.zeros(batch + (3,))
-    for leg in range(4):
-        torque_world += arm_x_force[..., leg, :]
 
     # joint servo chains, fixed apparent rotor inertia
     alpha = (tau + tau_ext.reshape(batch + (12,))) / model.rotor_inertia
@@ -262,21 +260,29 @@ def step(
     q_new = s.q + v_new * dt
     lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
     stopped = (q_new < lo) | (q_new > hi)
-    q_new = np.clip(q_new, lo, hi)
-    v_new[stopped] = 0.0
-    # a joint stop absorbs the rotor momentum, so the base reacts to the
-    # acceleration the rotor actually had, not the commanded one
-    alpha[stopped] = (v_new[stopped] - s.v[stopped]) / dt
+    if stopped.any():  # np.clip returns a joint inside its limits unchanged
+        q_new = np.clip(q_new, lo, hi)
+        v_new[stopped] = 0.0
+        # a joint stop absorbs the rotor momentum, so the base reacts to the
+        # acceleration the rotor actually had, not the commanded one
+        alpha[stopped] = (v_new[stopped] - s.v[stopped]) / dt
 
-    # rotor momentum reaction on the base (world frame)
+    # rotor momentum reaction on the base; the thigh and knee axis is
+    # rot_x(q0) e_y = (0, cos q0, sin q0), + 0.0 as that product gives it
     a = (alpha * model.rotor_inertia).reshape(batch + (4, 3))
-    pitch_axis = matvec(_rot_x(s.q[..., 0::3]), np.array([0.0, 1.0, 0.0]))
-    reaction_body = a[..., :1] * np.array([1.0, 0.0, 0.0]) + (a[..., 1] + a[..., 2])[..., None] * pitch_axis
-    reaction_world = matvec(R_legs, reaction_body)
-    for leg in range(4):
-        torque_world -= reaction_world[..., leg, :]
+    q0 = s.q[..., 0::3]
+    pitch_axis = np.zeros(batch + (4, 3))
+    pitch_axis[..., 1], pitch_axis[..., 2] = np.cos(q0), np.sin(q0) + 0.0
+    reaction_body = a[..., :1] * _E_X + (a[..., 1] + a[..., 2])[..., None] * pitch_axis
+    # the torque on the base (world frame) summed term by term from zero,
+    # as `+=` leg by leg would: a reduction would start from the first
+    # term and keep a -0.0 that 0.0 + x turns into +0.0
+    terms = np.zeros(batch + (9, 3))
+    terms[..., 1:5, :] = np.where(loaded, cross3(p_world - base, foot_force), 0.0)
+    np.negative(matvec(R_legs, reaction_body), out=terms[..., 5:, :])
+    torque_world = np.add.accumulate(terms, axis=-2)[..., -1, :]
 
-    force_world = foot_force.sum(axis=-2) + model.mass * GRAVITY
+    force_world = np.add.reduce(foot_force, axis=-2) + model.mass * GRAVITY
 
     lin_vel = s.base_lin_vel + (force_world / model.mass) * dt
     base_pos = s.base_pos + lin_vel * dt
@@ -284,8 +290,8 @@ def step(
     torque_body = matvec(RT, torque_world)
     I = model.base_inertia
     omega = s.base_ang_vel
-    rhs = torque_body - cross3(omega.T, matvec(I, omega).T).T
-    omega_dot = np.linalg.solve(I, rhs[..., None])[..., 0]
+    rhs = torque_body - cross3(omega, matvec(I, omega))
+    omega_dot = solve(I, rhs[..., None])[..., 0]
     omega_new = omega + omega_dot * dt
     quat = quat_multiply(s.base_quat, quat_from_rotvec(omega_new * dt))
     quat /= _norm(quat)[..., None]
@@ -319,9 +325,9 @@ def survival_violation(state: SimState, model: RobotModel):
     below 0.6 rad.  For a batch, a list with one entry per robot.
     Rollouts, collection and the expert gate share it."""
     lo, hi = 0.4 * model.nominal_base_height, 1.6 * model.nominal_base_height
-    roll, pitch, _ = rpy_from_matrix(state.rotation())
+    roll, pitch, _ = state.rpy()
     height = state.base_pos[..., 2]
-    fallen = np.atleast_1d(~((lo <= height) & (height <= hi)) | (np.abs(roll) >= 0.6) | (np.abs(pitch) >= 0.6))
+    fallen = np.atleast_1d(~((lo <= height) & (height <= hi)) | (abs(roll) >= 0.6) | (abs(pitch) >= 0.6))
     reasons = [None] * fallen.size
     for k in fallen.nonzero()[0]:  # a reason is formatted only for a robot that fell
         h, r, p = (np.ravel(x)[k].item() for x in (height, roll, pitch))
@@ -353,6 +359,8 @@ def simulate(
     `prev`, the state one tick before (for `read_imu`), defaults to
     `state`.  A robot leaves at its horizon or its first fall (`step`
     raising Diverged for it, or a `survival_violation`); the others go on.
+    The callbacks change no state in place, so a state that `step`
+    returned is not checked again when it is stepped.
 
     Returns (prev, state, falls): per robot, its last pair of one-robot
     states and None or its fall (time, reason).
@@ -374,16 +382,18 @@ def simulate(
         live, prev = live[keep], prev.rows(keep)
         state = state.rows(keep) if new is None else new
 
-    ends = set(horizon.tolist())
+    ends, stepped = set(horizon.tolist()), None
     for i in range(int(horizon.max(initial=0))):
         if i in ends:
             leave(horizon[live] <= i)
         if disturb is not None:
             state = disturb(i, live, state)
         target = control(i, live, prev, state)
+        if state is stepped:
+            state._once["checked"] = True
         prev = state
         try:
-            state = step(prev, model, contact, target, dt)
+            state = stepped = step(prev, model, contact, target, dt)
         except Diverged:
             # robot by robot, to find which diverged; rows are independent
             survivors = []

@@ -7,8 +7,8 @@ the one-leg FK, Jacobian and IK, the grasp-matrix loop of the force
 allocation, the swing and Raibert helpers, `step` and `expert_torques`,
 and the one-robot helpers that the robot-batched tick replaced: the
 quaternion and rotation helpers, the per-foot contact law and the base
-wrench PD.  Helpers the batching left unchanged are imported from the
-package.
+wrench PD; and the cross product and PD law of the leaner tick.  Helpers
+that no rewrite changed are imported from the package.
 """
 
 from __future__ import annotations
@@ -18,8 +18,18 @@ import numpy as np
 from quadgait.errors import Diverged, QuadGaitError, Unreachable
 from quadgait.expert import ExpertAction, ExpertGains
 from quadgait.gait import gait_phase
-from quadgait.robot import SIDE_SIGN, cross3
-from quadgait.simulation import GRAVITY, SimState, pd_torque
+from quadgait.robot import SIDE_SIGN
+from quadgait.simulation import GRAVITY, SimState
+
+
+def cross3(a, b):
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def pd_torque(model, target, q, v):
+    tau = model.kp * (np.asarray(target) - q) - model.kd * v
+    return np.clip(tau, -model.tau_max, model.tau_max)
 
 
 def quat_to_matrix(q):

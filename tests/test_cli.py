@@ -355,6 +355,9 @@ ERROR_CASES = {
         "rollout", "--config", f.cfg, "--expert", "--duration", "0"]),
     "rollout_duration_nan": (cli.EXIT_USAGE, "error: --duration must be positive", lambda f: [
         "rollout", "--config", f.cfg, "--expert", "--duration", "nan"]),
+    "switch_event_after_end": (cli.EXIT_USAGE, "error: event at t=0.5 s is not before", lambda f: [
+        "switch", "--config", f.cfg, "--model", f.model, "--duration", "0.4",
+        "--scenario", f.write("late.txt", "0.0 trot 0.0 0 0\n0.5 bound 0.0 0 0\n")]),
     "switch_duration_zero": (cli.EXIT_USAGE, "error: --duration must be positive", lambda f: [
         "switch", "--config", f.cfg, "--model", f.model, "--duration", "0",
         "--scenario", f.write("trot.txt", "0.0 trot 0.0 0 0\n")]),

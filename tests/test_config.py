@@ -52,6 +52,8 @@ class TestParseConfig:
             parse_config("sim.dt = 0.02")
         with pytest.raises(ConfigError):
             parse_config("contact.k_n = -1")
+        with pytest.raises(ConfigError, match="base_inertia"):
+            parse_config("robot.inertia_yy = 0")
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError):

@@ -211,6 +211,13 @@ class TestSwitchScenario:
             SwitchScenario(events=[(1.0, "trot", VelocityCommand()),
                                    (0.0, "bound", VelocityCommand())], duration=3.0)
 
+    @pytest.mark.parametrize("last", [0.4, 0.5])
+    def test_event_at_or_after_the_end_rejected(self, last):
+        # such an event's segment would never run
+        events = [(0.0, "trot", VelocityCommand()), (last, "bound", VelocityCommand())]
+        with pytest.raises(ValueError, match="not before the scenario's end"):
+            SwitchScenario(events=events, duration=0.4)
+
     def test_unknown_gait_raises_before_sim(self, model, contact):
         net = trained_like_net(num_tasks=1)
         scn = SwitchScenario(events=[(0.0, "walk", VelocityCommand())], duration=1.0)

@@ -25,7 +25,7 @@ from quadgait.simulation import nominal_stance_state, step
 FIELDS = ("base_pos", "base_quat", "base_lin_vel", "base_ang_vel", "q", "v", "foot_force", "time")
 
 
-@pytest.mark.parametrize("gait", ["trot", "bound", "jump"])
+@pytest.mark.parametrize("gait", ["trot", "bound", "jump", "walk"])  # walk: three stance feet
 def test_tick_matches_per_leg_reference(model, contact, gains, gait):
     spec = make_gait(gait)
     cmd = VelocityCommand(0.2, -0.05, 0.1)

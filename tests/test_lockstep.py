@@ -12,10 +12,13 @@ import pytest
 import per_robot_reference as solo
 import quadgait.dataset as dataset
 from quadgait.dataset import CollectionPlan, collect, inverse_pd_target
+from quadgait.evaluation import closed_loop_rollout
 from quadgait.expert import ExpertAction, expert_torques
-from quadgait.gait import VelocityCommand, gait_phase, make_gait, stack_gaits
+from quadgait.gait import GAIT_NAMES, VelocityCommand, gait_phase, make_gait, stack_gaits
 from quadgait.simulation import (
+    RolloutLog,
     SimState,
+    contact_flags,
     nominal_stance_state,
     quat_from_rotvec,
     quat_multiply,
@@ -134,6 +137,34 @@ def test_batch_equals_one_robot_calls(model, contact, gains, gait):
     assert (batch.foot_force[..., 2] > 0.0).any()
     if gait == "mixed":
         assert stance_counts == {0, 2, 3, 4}
+
+
+@pytest.mark.parametrize("gait", GAIT_NAMES)
+def test_expert_rollout_matches_per_robot_reference(model, contact, gains, gait):
+    # one robot's expert rollout, its summary and every RolloutLog row, is
+    # bitwise the same loop run on the per-leg reference's expert and step
+    spec, cmd, transient = make_gait(gait), VelocityCommand(0.2, -0.05, 0.1), 0.3
+    log = RolloutLog()
+    _, got = closed_loop_rollout(model, contact, spec, cmd, 0.8, expert_gains=gains, transient=transient,
+                                 log_target=log)
+    rows, track_vx, heights = [], [], []
+
+    def control(i, prev, state):
+        target = solo.expert_target(model, contact, spec, cmd, gains, state)[0]
+        rows.append(np.concatenate(([state.time], *state.arrays()[:6], target,
+                                    contact_flags(state, contact).astype(float)), axis=None))
+        return target
+
+    def track(state):
+        if state.time > transient:
+            track_vx.append(abs((solo.ref.quat_to_matrix(state.base_quat).T @ state.base_lin_vel)[0] - cmd.vx))
+            heights.append(state.base_pos[2])
+
+    _, _, fall = solo.simulate(model, contact, nominal_stance_state(model, contact), 800, 1e-3, control,
+                               on_step=track)
+    assert fall is None and got.survived and got.survival_time == 0.8
+    assert got.mean_vx_error == float(np.mean(track_vx)) and got.mean_height == float(np.mean(heights))
+    assert len(log.rows) == 800 and same_bits(log.as_array(), np.asarray(rows))
 
 
 def test_mixed_campaign_with_leaving_robots_matches_per_robot_reference(model, contact, gains,

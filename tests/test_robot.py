@@ -9,6 +9,7 @@ from quadgait.robot import (
     leg_forward_kinematics,
     leg_inverse_kinematics,
     leg_jacobian,
+    solve,
 )
 
 from conftest import sample_branch_configs
@@ -183,3 +184,23 @@ class TestModelValidation:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             RobotModel(mass=-1.0)
+
+    @pytest.mark.parametrize("inertia", [np.diag([0.1, 0.0, 0.3]), np.diag([0.1, -0.25, 0.3]),
+                                         np.diag([0.1, 0.25, 0.3]) + np.triu(np.full((3, 3), 0.01), 1)])
+    def test_base_inertia_must_be_symmetric_positive_definite(self, inertia):
+        # step solves against it, which needs it invertible
+        with pytest.raises(ValueError, match="base_inertia"):
+            RobotModel(base_inertia=inertia)
+
+
+class TestSolve:
+    def test_bitwise_equal_to_numpy(self):
+        # the allocation's 6x6 and the base inertia's 3x3 systems, one
+        # and stacked, the matrix broadcast over the right-hand sides too
+        rng = np.random.default_rng(5)
+        for a_shape, b_shape in (((6, 6), (6, 1)), ((7, 6, 6), (7, 6, 1)), ((3, 3), (3, 1)),
+                                 ((5, 3, 3), (5, 3, 1)), ((3, 3), (9, 3, 1))):
+            M = rng.standard_normal(a_shape)
+            A = M @ M.swapaxes(-1, -2) + 1e-9 * np.eye(a_shape[-1])
+            B = rng.standard_normal(b_shape)
+            assert np.array_equal(solve(A, B), np.linalg.solve(A, B))

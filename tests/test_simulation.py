@@ -14,6 +14,8 @@ from quadgait.simulation import (
     quat_from_rotvec,
     quat_to_matrix,
     read_imu,
+    rpy_from_matrix,
+    simulate,
     step,
 )
 
@@ -22,6 +24,15 @@ def airborne_state(model, height=1.0):
     s = nominal_stance_state(model)
     s.base_pos[2] = height
     return s
+
+
+def test_rotation_and_rpy_recomputed_after_quat_changes_in_place(model):
+    state = nominal_stance_state(model)
+    assert state.rpy() == rpy_from_matrix(np.eye(3))
+    state.base_quat[:] = quat_from_rotvec(np.array([0.1, -0.2, 0.3]))
+    R = quat_to_matrix(state.base_quat)
+    assert np.array_equal(state.rotation(), R)
+    assert state.rpy() == rpy_from_matrix(R) and state.rpy()[2] != 0.0
 
 
 class TestPdTorque:
@@ -182,6 +193,19 @@ class TestDiverged:
         with pytest.raises(Diverged) as exc:
             step(state, model, contact, model.nominal_joint_pos, 1e-3)
         assert exc.value.time == 1e-3
+
+    def test_state_from_simulate_changed_in_place(self, model, contact):
+        # simulate skips the incoming check of a state step returned; the
+        # state it hands back is checked again by a later step
+        def control(i, live, prev, state):
+            return model.nominal_joint_pos
+
+        _, [last], [fall] = simulate(model, contact, nominal_stance_state(model), 5, 1e-3, control)
+        assert fall is None
+        last.v[3] = np.nan
+        with pytest.raises(Diverged) as exc:
+            step(last, model, contact, model.nominal_joint_pos, 1e-3)
+        assert exc.value.time == last.time
 
     def test_runaway_base_position(self, model, contact):
         target = model.nominal_joint_pos
